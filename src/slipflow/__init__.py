@@ -36,7 +36,6 @@ from .forms import (
     trilinear_standard,
     boundary_functionals,
     energy_balance,
-    save_matrix_coo,
 )
 from .solver import (
     NewtonConfig,

@@ -1,10 +1,10 @@
 """Taylor-Hood P2/P1 spaces on triangulations.
 
 Reference bases, DOF numbering, quadrature, field evaluation (values,
-gradients, symmetric gradients, traces), nodal interpolation and error
-norms.  Velocity DOFs are interleaved (x-component, y-component) per node
-with nodes ordered vertices-then-edge-midpoints; pressure DOFs live on the
-vertices.
+gradients, symmetric gradients, traces), per-facet tables of boundary
+facet selections, nodal interpolation and error norms.  Velocity DOFs
+are interleaved (x-component, y-component) per node with nodes ordered
+vertices-then-edge-midpoints; pressure DOFs live on the vertices.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Mesh, BoundaryTag
 
@@ -115,6 +116,71 @@ class ErrorNorms:
 
 
 # ---------------------------------------------------------------------------
+# boundary-facet tables
+# ---------------------------------------------------------------------------
+
+class FacetTable:
+    """Per-facet arrays of one boundary-facet selection, gathered once
+    from the space's facet tables.
+
+    F facets with Qf quadrature points each: velocity dofs (F,12) of the
+    adjacent cells, P2 traces (F,6,Qf), quadrature weights h_F w_q (F,Qf),
+    outward normals (F,2), tangential projectors I - n n^T (F,2,2),
+    physical points (F,Qf,2), and the row/column indices that scatter
+    (F,12,12) local blocks.
+    """
+
+    def __init__(self, space: TaylorHoodSpace, facets):
+        mesh = space.mesh
+        self.space = space
+        self.facets = np.asarray(facets, dtype=np.int64)
+        self.cells = mesh.facet_cells[self.facets]
+        self.dofs = space.cell_vdofs[self.cells]
+        self.tr = space.ftr[self.facets]
+        self.w = mesh.facet_h[self.facets][:, None] * space.fqweights
+        self.n = mesh.facet_normals[self.facets]
+        self.P = np.eye(2) - self.n[:, :, None] * self.n[:, None, :]
+        self.points = space.fpoints[self.facets]
+        self.rows = np.repeat(self.dofs, 12, axis=1).ravel()
+        self.cols = np.tile(self.dofs, (1, 12)).ravel()
+
+    def values(self, u: np.ndarray) -> np.ndarray:
+        """Velocity traces (F,Qf,2) at the facet quadrature points."""
+        return np.einsum("fac,faq->fqc", u[self.dofs].reshape(-1, 6, 2), self.tr)
+
+    def split(self, g: np.ndarray):
+        """Normal parts (F,Qf) and tangential parts (F,Qf,2) of a field
+        g (F,Qf,2) given at the facet quadrature points."""
+        gn = (g * self.n[:, None, :]).sum(axis=2)
+        return gn, g - gn[:, :, None] * self.n[:, None, :]
+
+    def load(self, g: np.ndarray) -> np.ndarray:
+        """<g, v> for all velocity test functions, g given (F,Qf,2)."""
+        loc = np.einsum("fq,faq,fqc->fac", self.w, self.tr, g)
+        return np.bincount(self.dofs.ravel(), loc.ravel(),
+                           minlength=self.space.n_vdofs)
+
+    def matrix(self, loc: np.ndarray) -> sp.csr_matrix:
+        """Scatter local (F,6,2,6,2) blocks into a velocity matrix."""
+        Nu = self.space.n_vdofs
+        return sp.coo_matrix((loc.ravel(), (self.rows, self.cols)),
+                             shape=(Nu, Nu)).tocsr()
+
+    def mass(self, normal: bool = False, per_h: bool = False) -> sp.csr_matrix:
+        """The boundary mass <u, v>, or <u.n, v.n> when `normal`, over the
+        selection; `per_h` puts the weight h_F^-1 into the integrand."""
+        w = np.broadcast_to(self.space.fqweights, self.w.shape) if per_h else self.w
+        tt = np.einsum("fq,faq,fbq->fab", w, self.tr, self.tr)
+        if normal:
+            loc = np.einsum("fab,fc,fd->facbd", tt, self.n, self.n)
+        else:
+            loc = np.zeros((len(tt), 6, 2, 6, 2))
+            loc[:, :, 0, :, 0] = tt
+            loc[:, :, 1, :, 1] = tt
+        return self.matrix(loc)
+
+
+# ---------------------------------------------------------------------------
 # the space
 # ---------------------------------------------------------------------------
 
@@ -178,50 +244,53 @@ class TaylorHoodSpace:
 
     # -- facet tables -------------------------------------------------------
 
+    def _facet_ref_points(self, facets, s) -> np.ndarray:
+        """Reference-cell coordinates (len(facets), len(s), 2) of the arc
+        parameters s in [0,1] along boundary facets, from the facet's
+        first vertex to its second."""
+        mesh = self.mesh
+        cverts = mesh.cells[mesh.facet_cells[facets]]              # (F,3)
+        fv = mesh.facet_vertices[facets]                           # (F,2)
+        ref_v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        ra = ref_v[np.argmax(cverts == fv[:, :1], axis=1)]         # (F,2)
+        rb = ref_v[np.argmax(cverts == fv[:, 1:], axis=1)]
+        s = np.asarray(s, dtype=float)
+        return ra[:, None, :] + s[None, :, None] * (rb - ra)[:, None, :]
+
     def _build_facet_tables(self):
         mesh = self.mesh
         Qf = self.fqpoints.shape[0]
         F = mesh.num_facets
-        self.ftr = np.empty((F, 6, Qf))        # P2 values at facet points
-        self.fgrad = np.empty((F, 6, Qf, 2))   # physical P2 gradients there
-        self.fpsi = np.empty((F, 3, Qf))       # P1 values at facet points
-        self.fpoints = np.empty((F, Qf, 2))    # physical coordinates
-
-        ref_v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        for f in range(F):
-            t = mesh.facet_cells[f]
-            cverts = mesh.cells[t]
-            va, vb = mesh.facet_vertices[f]
-            la = int(np.flatnonzero(cverts == va)[0])
-            lb = int(np.flatnonzero(cverts == vb)[0])
-            xi = ref_v[la][None, :] + self.fqpoints[:, None] * (
-                ref_v[lb] - ref_v[la]
-            )[None, :]
-            val, grad = p2_basis(xi)
-            self.ftr[f] = val
-            self.fgrad[f] = np.einsum("aqj,ji->aqi", grad, self.invJ[t])
-            pval, _ = p1_basis(xi)
-            self.fpsi[f] = pval
-            a = mesh.vertices[va]
-            b = mesh.vertices[vb]
-            self.fpoints[f] = a[None, :] + self.fqpoints[:, None] * (b - a)[None, :]
+        xi = self._facet_ref_points(np.arange(F), self.fqpoints).reshape(-1, 2)
+        val, grad = p2_basis(xi)
+        pval, _ = p1_basis(xi)
+        # P2 values, physical P2 gradients and P1 values at facet points
+        self.ftr = val.reshape(6, F, Qf).transpose(1, 0, 2).copy()      # (F,6,Qf)
+        self.fgrad = np.einsum("afqj,fji->faqi", grad.reshape(6, F, Qf, 2),
+                               self.invJ[mesh.facet_cells])            # (F,6,Qf,2)
+        self.fpsi = pval.reshape(3, F, Qf).transpose(1, 0, 2).copy()    # (F,3,Qf)
+        a = mesh.vertices[mesh.facet_vertices[:, 0]]
+        b = mesh.vertices[mesh.facet_vertices[:, 1]]
+        self.fpoints = a[:, None, :] + self.fqpoints[None, :, None] * (b - a)[:, None, :]
 
         self.slip_facets = np.flatnonzero(mesh.facet_tags == BoundaryTag.SLIP)
         self.dirichlet_facets = np.flatnonzero(
             mesh.facet_tags == BoundaryTag.DIRICHLET
         )
 
+    def facet_vnodes(self, facets) -> np.ndarray:
+        """Sorted velocity nodes (both vertices and the edge midpoint) of
+        the given boundary facets."""
+        mesh = self.mesh
+        return np.unique(np.concatenate([
+            mesh.facet_vertices[facets].ravel(),
+            mesh.num_vertices + mesh.facet_edges[facets],
+        ])).astype(np.int64)
+
     def _build_dirichlet(self):
         """Velocity DOFs on Dirichlet facets (corner nodes shared with the
         slip wall count as Dirichlet: strong zero wins)."""
-        mesh = self.mesh
-        nodes = set()
-        for f in self.dirichlet_facets:
-            va, vb = mesh.facet_vertices[f]
-            nodes.add(int(va))
-            nodes.add(int(vb))
-            nodes.add(int(mesh.num_vertices + mesh.facet_edges[f]))
-        self.dirichlet_vnodes = np.array(sorted(nodes), dtype=np.int64)
+        self.dirichlet_vnodes = self.facet_vnodes(self.dirichlet_facets)
         self.dirichlet_vdofs = np.sort(
             np.concatenate([2 * self.dirichlet_vnodes, 2 * self.dirichlet_vnodes + 1])
         )
@@ -276,15 +345,8 @@ class TaylorHoodSpace:
 
     def facet_trace(self, u: np.ndarray, facet: int, s: np.ndarray):
         """Velocity values and gradients at points along a boundary facet."""
-        mesh = self.mesh
-        t = mesh.facet_cells[facet]
-        cverts = mesh.cells[t]
-        va, vb = mesh.facet_vertices[facet]
-        ref_v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        la = int(np.flatnonzero(cverts == va)[0])
-        lb = int(np.flatnonzero(cverts == vb)[0])
-        xi = ref_v[la][None, :] + np.asarray(s)[:, None] * (ref_v[lb] - ref_v[la])[None, :]
-        val6, grad6 = p2_basis(xi)
+        t = self.mesh.facet_cells[facet]
+        val6, grad6 = p2_basis(self._facet_ref_points([facet], s)[0])
         loc = u[self.cell_vdofs[t]].reshape(6, 2)
         vals = np.einsum("ac,aq->qc", loc, val6)
         gphys = np.einsum("aqj,ji->aqi", grad6, self.invJ[t])
@@ -348,19 +410,11 @@ class TaylorHoodSpace:
             h1u = np.nan
 
         # slip-boundary trace errors
-        l2tau = 0.0
-        l2un = 0.0
-        for f in self.slip_facets:
-            n = self.mesh.facet_normals[f]
-            hF = self.mesh.facet_h[f]
-            loc = state.u[self.cell_vdofs[self.mesh.facet_cells[f]]].reshape(6, 2)
-            vals = np.einsum("ac,aq->qc", loc, self.ftr[f])
-            ve = np.asarray(exact_u(self.fpoints[f], t), dtype=float)
-            dv = vals - ve
-            dvn = dv @ n
-            dvt = dv - dvn[:, None] * n[None, :]
-            l2tau += hF * np.sum(self.fqweights * np.einsum("qc,qc->q", dvt, dvt))
-            l2un += hF * np.sum(self.fqweights * dvn**2)
+        sl = FacetTable(self, self.slip_facets)
+        ve = np.asarray(exact_u(sl.points.reshape(-1, 2), t), dtype=float)
+        dvn, dvt = sl.split(sl.values(state.u) - ve.reshape(sl.points.shape))
+        l2tau = np.sum(sl.w * (dvt * dvt).sum(axis=2))
+        l2un = np.sum(sl.w * dvn**2)
         return ErrorNorms(
             float(l2u), float(h1u), float(l2p), float(np.sqrt(l2tau)),
             float(np.sqrt(l2un)),

@@ -3,7 +3,7 @@
 Momentum rows (tested with every velocity basis function v), with
 s = +1 for the symmetric and s = -1 for the antisymmetric variant:
 
-    (1/dt) [(u - u_old, v) + beta_eff <u - u_old, v>_Gs]
+    (1/dt) [(u - u_old, v) + beta* <u - u_old, v>_Gs]
     + 2 nu (Du, Dv) + btilde(u, u, v)
     - (p, div v) + <p, v.n>_Gs
     + <sigma_law(u_tau, t) + g_slip - beta* d_t(u_b), v_tau>_Gs
@@ -28,7 +28,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import TaylorHoodSpace, SystemState
+from .fespace import FacetTable, TaylorHoodSpace, SystemState
 from .sliplaw import SlipLaw
 
 
@@ -41,7 +41,6 @@ class NitscheConfig:
     nu: float = 1.0
     alpha: Union[float, str] = 10.0          # number or "auto"
     variant: str = "symmetric"                # or "antisymmetric"
-    beta: float = 0.0                         # boundary-mass coefficient
     include_convection: bool = True
     mean_pressure_mode: str = "multiplier"    # or "pinned"
 
@@ -124,60 +123,21 @@ class FormCache:
         self.area = float((space.detJ * space.qweights.sum()).sum())
 
         # slip-boundary blocks
-        self.M_B = sp.csr_matrix(shape_uu)
-        self.P_pen = sp.csr_matrix(shape_uu)
-        self.C_nit = sp.csr_matrix(shape_uu)
-        self.B_n = sp.csr_matrix(shape_pu)
-        sl = space.slip_facets
-        if sl.size:
-            rows_uu, cols_uu = [], []
-            mb, pen, cn = [], [], []
-            rows_pu, cols_pu, bn = [], [], []
-            for f in sl:
-                t = space.mesh.facet_cells[f]
-                n = space.mesh.facet_normals[f]
-                hF = space.mesh.facet_h[f]
-                wf = space.fqweights * hF
-                Tr = space.ftr[f]                                   # (6,Qf)
-                dn = np.einsum("bqi,i->bq", space.fgrad[f], n)      # n . grad
-                tt = np.einsum("q,aq,bq->ab", wf, Tr, Tr)
-                loc = np.zeros((6, 2, 6, 2))
-                loc[:, 0, :, 0] = tt
-                loc[:, 1, :, 1] = tt
-                mb.append(loc.reshape(12, 12))
-                pen.append(
-                    np.einsum("ab,c,d->acbd", tt / hF, n, n).reshape(12, 12)
-                )
-                ctt = np.einsum("q,aq,bq->ab", wf, Tr, dn)
-                cn.append(np.einsum("ab,c,d->acbd", ctt, n, n).reshape(12, 12))
-                dofs = space.cell_vdofs[t]
-                rows_uu.append(np.repeat(dofs, 12))
-                cols_uu.append(np.tile(dofs, 12))
-                btt = np.einsum("q,iq,bq->ib", wf, space.fpsi[f], Tr)
-                bn.append(np.einsum("ib,d->ibd", btt, n).reshape(3, 12))
-                rows_pu.append(np.repeat(space.cell_pdofs[t], 12))
-                cols_pu.append(np.tile(dofs, 3))
-            rows_uu = np.concatenate(rows_uu)
-            cols_uu = np.concatenate(cols_uu)
-            self.M_B = sp.coo_matrix(
-                (np.concatenate([m.ravel() for m in mb]), (rows_uu, cols_uu)),
-                shape=shape_uu,
-            ).tocsr()
-            self.P_pen = sp.coo_matrix(
-                (np.concatenate([m.ravel() for m in pen]), (rows_uu, cols_uu)),
-                shape=shape_uu,
-            ).tocsr()
-            self.C_nit = sp.coo_matrix(
-                (np.concatenate([m.ravel() for m in cn]), (rows_uu, cols_uu)),
-                shape=shape_uu,
-            ).tocsr()
-            self.B_n = sp.coo_matrix(
-                (
-                    np.concatenate([m.ravel() for m in bn]),
-                    (np.concatenate(rows_pu), np.concatenate(cols_pu)),
-                ),
-                shape=shape_pu,
-            ).tocsr()
+        sl = self.slip = FacetTable(space, space.slip_facets)
+        self.M_B = sl.mass()
+        self.P_pen = sl.mass(normal=True, per_h=True)
+        # <v.n, (Du n).n>: n . grad of the traces, contracted with n n^T
+        dn = np.einsum("fbqi,fi->fbq", space.fgrad[sl.facets], sl.n)
+        ctt = np.einsum("fq,faq,fbq->fab", sl.w, sl.tr, dn)
+        self.C_nit = sl.matrix(np.einsum("fab,fc,fd->facbd", ctt, sl.n, sl.n))
+        # <q, v.n>
+        btt = np.einsum("fq,fiq,fbq->fib", sl.w, space.fpsi[sl.facets], sl.tr)
+        fpd = space.cell_pdofs[sl.cells]
+        self.B_n = sp.coo_matrix(
+            (np.einsum("fib,fd->fibd", btt, sl.n).ravel(),
+             (np.repeat(fpd, 12, axis=1).ravel(), np.tile(sl.dofs, (1, 3)).ravel())),
+            shape=shape_pu,
+        ).tocsr()
 
         self.G_c = (self.B_div - self.B_n).tocsr()   # paper continuity operator
 
@@ -241,7 +201,6 @@ class AssemblyContext:
             )
         self.dirichlet = dirichlet
         self.cache = get_cache(space)
-        self.beta_eff = law.beta_star if law.beta_star > 0 else config.beta
         self.alpha = self._resolve_alpha()
         self._lin = None
         self._rhs_t = None
@@ -271,7 +230,7 @@ class AssemblyContext:
             A = (2.0 * cfg.nu) * c.K_D + (cfg.nu * self.alpha) * c.P_pen \
                 - (2.0 * cfg.nu) * (c.C_nit + s * c.C_nit.T)
             if self.delta is not None:
-                A = A + (1.0 / self.delta) * (c.M_u + self.beta_eff * c.M_B)
+                A = A + (1.0 / self.delta) * (c.M_u + self.law.beta_star * c.M_B)
             self._lin = A.tocsr()
         return self._lin
 
@@ -384,70 +343,37 @@ def _convection_jacobian(space: TaylorHoodSpace, u: np.ndarray,
     ).tocsr()
 
 
-def _slip_traction(ctx: AssemblyContext, u_tau: np.ndarray, x: np.ndarray,
-                   t: float) -> np.ndarray:
-    """Total tangential traction at one boundary point: the law value,
-    the verification correction, and the moving-wall rate term."""
-    sig = ctx.law.sigma(u_tau, t)
+def _slip_traction(ctx: AssemblyContext, u_tau: np.ndarray) -> np.ndarray:
+    """Total tangential traction (F,Qf,2) at the slip-wall quadrature
+    points: the law value, the verification correction, and the
+    moving-wall rate term."""
+    sig = ctx.law.sigma(u_tau, ctx.t)
     if ctx.slip_forcing is not None:
-        sig = sig + np.asarray(ctx.slip_forcing(x[None, :], t), dtype=float)[0]
+        g = ctx.slip_forcing(ctx.cache.slip.points.reshape(-1, 2), ctx.t)
+        sig = sig + np.asarray(g, dtype=float).reshape(sig.shape)
     if ctx.law.beta_star > 0 and ctx.law.wall_velocity is not None \
             and ctx.delta is not None:
-        sig = sig - ctx.law.beta_star * ctx.law.wall_velocity_rate(t, ctx.delta)
+        sig = sig - ctx.law.beta_star * ctx.law.wall_velocity_rate(ctx.t, ctx.delta)
     return sig
 
 
 def _slip_residual(ctx: AssemblyContext, u: np.ndarray) -> np.ndarray:
-    space = ctx.space
-    out = np.zeros(space.n_vdofs)
-    for f in space.slip_facets:
-        tcell = space.mesh.facet_cells[f]
-        n = space.mesh.facet_normals[f]
-        hF = space.mesh.facet_h[f]
-        wf = space.fqweights * hF
-        Tr = space.ftr[f]
-        dofs = space.cell_vdofs[tcell]
-        loc = u[dofs].reshape(6, 2)
-        uq = np.einsum("ac,aq->qc", loc, Tr)
-        r = np.zeros((6, 2))
-        for q in range(wf.size):
-            v = uq[q]
-            vt = v - (v @ n) * n
-            sig = _slip_traction(ctx, vt, space.fpoints[f, q], ctx.t)
-            sig_t = sig - (sig @ n) * n
-            r += wf[q] * np.outer(Tr[:, q], sig_t)
-        out[dofs] += r.ravel()
-    return out
+    """<sigma(u_tau), v_tau> over the slip wall."""
+    sl = ctx.cache.slip
+    u_tau = sl.split(sl.values(u))[1]
+    return sl.load(sl.split(_slip_traction(ctx, u_tau))[1])
 
 
 def _slip_jacobian(ctx: AssemblyContext, u: np.ndarray) -> sp.csr_matrix:
-    space = ctx.space
-    rows, cols, data = [], [], []
-    for f in space.slip_facets:
-        tcell = space.mesh.facet_cells[f]
-        n = space.mesh.facet_normals[f]
-        hF = space.mesh.facet_h[f]
-        wf = space.fqweights * hF
-        Tr = space.ftr[f]
-        dofs = space.cell_vdofs[tcell]
-        loc = u[dofs].reshape(6, 2)
-        uq = np.einsum("ac,aq->qc", loc, Tr)
-        P = np.eye(2) - np.outer(n, n)
-        locJ = np.zeros((6, 2, 6, 2))
-        for q in range(wf.size):
-            v = uq[q]
-            vt = v - (v @ n) * n
-            K = P @ ctx.law.jacobian(vt, ctx.t) @ P
-            locJ += wf[q] * np.einsum("a,b,cd->acbd", Tr[:, q], Tr[:, q], K)
-        rows.append(np.repeat(dofs, 12))
-        cols.append(np.tile(dofs, 12))
-        data.append(locJ.reshape(-1))
-    if not rows:
-        return sp.csr_matrix((space.n_vdofs, space.n_vdofs))
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_vdofs, space.n_vdofs),
-    ).tocsr()
+    """Derivative of the slip residual: P sigma'(u_tau) P under the trace
+    mass, with P the tangential projector."""
+    sl = ctx.cache.slip
+    u_tau = sl.split(sl.values(u))[1]
+    P = sl.P[:, None]
+    K = P @ ctx.law.jacobian(u_tau, ctx.t) @ P                   # (F,Qf,2,2)
+    return sl.matrix(
+        np.einsum("fq,faq,fbq,fqcd->facbd", sl.w, sl.tr, sl.tr, K, optimize=True)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +400,7 @@ def assemble_residual(state: SystemState, ctx: AssemblyContext) -> np.ndarray:
     r_u -= ctx.force_vector()
     if ctx.delta is not None:
         r_u -= (1.0 / ctx.delta) * (c.M_u @ ctx.u_old
-                                    + ctx.beta_eff * (c.M_B @ ctx.u_old))
+                                    + ctx.law.beta_star * (c.M_B @ ctx.u_old))
 
     # Dirichlet rows
     dd = space.dirichlet_vdofs
@@ -544,17 +470,9 @@ def trilinear_standard(space: TaylorHoodSpace, u, v, w) -> float:
     _, gw = space.velocity_at_quadrature(w)
     wdet = space.qweights[None, :] * space.detJ[:, None]
     vol = -np.einsum("tq,tqc,tqi,tqci->", wdet, vv, uv, gw)
-    bdry = 0.0
-    for f in range(space.mesh.num_facets):
-        tcell = space.mesh.facet_cells[f]
-        n = space.mesh.facet_normals[f]
-        wf = space.fqweights * space.mesh.facet_h[f]
-        Tr = space.ftr[f]
-        dofs = space.cell_vdofs[tcell]
-        uq = np.einsum("ac,aq->qc", u[dofs].reshape(6, 2), Tr)
-        vq = np.einsum("ac,aq->qc", v[dofs].reshape(6, 2), Tr)
-        wq = np.einsum("ac,aq->qc", w[dofs].reshape(6, 2), Tr)
-        bdry += np.sum(wf * (uq @ n) * np.einsum("qc,qc->q", vq, wq))
+    bd = FacetTable(space, np.arange(space.mesh.num_facets))
+    un = bd.split(bd.values(u))[0]
+    bdry = np.sum(bd.w * un * (bd.values(v) * bd.values(w)).sum(axis=2))
     return float(vol + bdry)
 
 
@@ -576,33 +494,19 @@ class WallProfile:
 def boundary_functionals(state: SystemState, ctx: AssemblyContext,
                          t: Optional[float] = None) -> WallProfile:
     """Sample |u_tau|, |sigma| and u.n at the slip-facet quadrature points."""
-    space = ctx.space
+    sl = ctx.cache.slip
     if t is None:
         t = ctx.t
-    xs, ss, uts, sgs, uns = [], [], [], [], []
-    for f in space.slip_facets:
-        tcell = space.mesh.facet_cells[f]
-        n = space.mesh.facet_normals[f]
-        Tr = space.ftr[f]
-        loc = state.u[space.cell_vdofs[tcell]].reshape(6, 2)
-        uq = np.einsum("ac,aq->qc", loc, Tr)
-        for q in range(space.fqweights.size):
-            v = uq[q]
-            vn = v @ n
-            vt = v - vn * n
-            sig = ctx.law.sigma(vt, t)
-            xs.append(space.fpoints[f, q, 0])
-            ss.append(space.fpoints[f, q, 0])   # top wall: arc length = x
-            uts.append(np.linalg.norm(vt))
-            sgs.append(np.linalg.norm(sig))
-            uns.append(vn)
-    order = np.argsort(np.asarray(xs), kind="stable")
+    un, ut = sl.split(sl.values(state.u))
+    sig = ctx.law.sigma(ut, t)
+    x = sl.points[:, :, 0].ravel()
+    order = np.argsort(x, kind="stable")
     return WallProfile(
-        x=np.asarray(xs)[order],
-        s=np.asarray(ss)[order],
-        u_tau=np.asarray(uts)[order],
-        sigma=np.asarray(sgs)[order],
-        un=np.asarray(uns)[order],
+        x=x[order],
+        s=x[order].copy(),      # top wall: arc length = x
+        u_tau=np.linalg.norm(ut, axis=2).ravel()[order],
+        sigma=np.linalg.norm(sig, axis=2).ravel()[order],
+        un=un.ravel()[order],
     )
 
 
@@ -643,7 +547,7 @@ def energy_balance(state: SystemState, ctx: AssemblyContext) -> EnergyBalance:
     u, p = state.u, state.p
     if ctx.delta is not None:
         du = (u - ctx.u_old) / ctx.delta
-        t_time = float(du @ (c.M_u @ u) + ctx.beta_eff * (du @ (c.M_B @ u)))
+        t_time = float(du @ (c.M_u @ u) + ctx.law.beta_star * (du @ (c.M_B @ u)))
     else:
         t_time = 0.0
     t_visc = 2.0 * cfg.nu * float(u @ (c.K_D @ u))
@@ -666,13 +570,3 @@ def energy_balance(state: SystemState, ctx: AssemblyContext) -> EnergyBalance:
         slip=t_slip, penalty=t_pen, nitsche=t_nit, force=t_f,
         residual=resid, penalty_form=pform,
     )
-
-
-def save_matrix_coo(A, path) -> None:
-    """Write a sparse matrix as `row col value` text lines."""
-    A = sp.coo_matrix(A)
-    order = np.lexsort((A.col, A.row))
-    with open(path, "w") as fh:
-        fh.write(f"# {A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        for r, cc, v in zip(A.row[order], A.col[order], A.data[order]):
-            fh.write(f"{r} {cc} {v:.17g}\n")

@@ -26,13 +26,18 @@ class SlipLawError(Exception):
 class SlipLaw:
     """Time-dependent map v_tau -> traction, with Jacobian and metadata.
 
-    sigma(v, t) and jacobian(v, t) take a 2-vector and a time; r is the
-    growth exponent, lam the monotonicity defect (lam = 0 means monotone),
-    beta_star the dynamic coefficient assembled into the boundary-mass time
-    term, wall_velocity the optional moving-wall velocity u_b(t) with its
-    backward difference quotient wall_velocity_rate(t, dt).
-    exact_magnitude(s) is the unregularized |sigma| at slip speed s > 0,
-    used for reference curves in the experiment plots.
+    sigma(v, t) and jacobian(v, t) take velocities v of shape (..., 2) and
+    a time, and return tractions (..., 2) and Jacobians (..., 2, 2), one
+    per velocity; a single 2-vector gives (2,) and (2, 2).  Assembly calls
+    each of them once per residual or Jacobian with every slip-wall
+    quadrature point at once, so a user-defined law must broadcast over
+    the leading axes.  r is the growth exponent, lam the monotonicity
+    defect (lam = 0 means monotone), beta_star the dynamic coefficient
+    assembled into the boundary-mass time term, wall_velocity the optional
+    moving-wall velocity u_b(t) with its backward difference quotient
+    wall_velocity_rate(t, dt).  exact_magnitude(s) is the unregularized
+    |sigma| at slip speed s > 0, used for reference curves in the
+    experiment plots.
     """
 
     name: str
@@ -54,7 +59,36 @@ class SlipLaw:
 
 
 def _as_vec(v) -> np.ndarray:
-    return np.asarray(v, dtype=float).reshape(2)
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (2,):
+        raise SlipLawError(
+            f"slip velocities need a last axis of length 2, got {v.shape}"
+        )
+    return v
+
+
+def _dot(a, b):
+    """a . b over the last axis, rounded like the 1-D product a @ b."""
+    return np.vecdot(a, b)
+
+
+def _eye(v):
+    """Identity 2x2 per velocity."""
+    return np.broadcast_to(np.eye(2), v.shape + (2,))
+
+
+def _outer(v):
+    return v[..., :, None] * v[..., None, :]
+
+
+def _col(a):
+    """Per-velocity scalars shaped to scale (..., 2) arrays."""
+    return np.asarray(a)[..., None]
+
+
+def _mat(a):
+    """Per-velocity scalars shaped to scale (..., 2, 2) arrays."""
+    return np.asarray(a)[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +103,7 @@ def navier(gamma: float) -> SlipLaw:
         return gamma * _as_vec(v)
 
     def jac(v, t=0.0):
-        return gamma * np.eye(2)
+        return gamma * _eye(_as_vec(v))
 
     return SlipLaw(
         name=f"navier(gamma={gamma})",
@@ -85,27 +119,30 @@ def navier(gamma: float) -> SlipLaw:
 def power_law(c: float, r: float) -> SlipLaw:
     """Monotone power law sigma = c |v|^(r-2) v for r in (1, inf).
 
-    For r < 2 the Jacobian is singular at the origin; certification samples
-    away from it.
+    For r < 2 the Jacobian is singular at the origin; it is returned as
+    NaN there for every r != 2.  Certification samples away from it.
     """
     if c <= 0 or r <= 1:
         raise SlipLawError("power_law needs c > 0 and r > 1")
 
+    def speed(v):
+        # |v| with the origin replaced by 1, so no power of 0 is taken;
+        # every term that uses it there is multiplied by v = 0 or replaced
+        s = np.sqrt(_dot(v, v))
+        return s, np.where(s == 0.0, 1.0, s)
+
     def sig(v, t=0.0):
         v = _as_vec(v)
-        s = np.linalg.norm(v)
-        if s == 0.0:
-            return np.zeros(2)
-        return c * s ** (r - 2.0) * v
+        _, s = speed(v)
+        return _col(c * s ** (r - 2.0)) * v
 
     def jac(v, t=0.0):
         v = _as_vec(v)
-        s = np.linalg.norm(v)
-        if s == 0.0:
-            if r == 2.0:
-                return c * np.eye(2)
-            return np.full((2, 2), np.nan)
-        return c * s ** (r - 2.0) * np.eye(2) + c * (r - 2.0) * s ** (r - 4.0) * np.outer(v, v)
+        s0, s = speed(v)
+        J = _mat(c * s ** (r - 2.0)) * _eye(v) \
+            + _mat(c * (r - 2.0) * s ** (r - 4.0)) * _outer(v)
+        at_zero = c * np.eye(2) if r == 2.0 else np.nan
+        return np.where(_mat(s0 == 0.0), at_zero, J)
 
     return SlipLaw(
         name=f"power_law(c={c}, r={r})",
@@ -133,11 +170,12 @@ def leroux_rajagopal(a: float, b: float, c: float, theta: float) -> SlipLaw:
 
     def sig(v, t=0.0):
         v = _as_vec(v)
-        return phi(v @ v) * v
+        return _col(phi(_dot(v, v))) * v
 
     def jac(v, t=0.0):
         v = _as_vec(v)
-        return phi(v @ v) * np.eye(2) + 2.0 * dphi(v @ v) * np.outer(v, v)
+        s2 = _dot(v, v)
+        return _mat(phi(s2)) * _eye(v) + _mat(2.0 * dphi(s2)) * _outer(v)
 
     # eigenvalues of the Jacobian are phi (tangential) and phi + 2 s^2 phi'
     # (radial); the defect is the most negative of these over the ray
@@ -169,15 +207,15 @@ def stick_slip_regularized(gamma_star: float, mu_star: float, epsilon: float) ->
 
     def sig(v, t=0.0):
         v = _as_vec(v)
-        return gamma_star * v + mu_star * v / np.sqrt(v @ v + epsilon**2)
+        return gamma_star * v + mu_star * v / _col(np.sqrt(_dot(v, v) + epsilon**2))
 
     def jac(v, t=0.0):
         v = _as_vec(v)
-        q = v @ v + epsilon**2
+        q = _mat(_dot(v, v) + epsilon**2)
         return (
-            gamma_star * np.eye(2)
-            + mu_star * q ** (-0.5) * np.eye(2)
-            - mu_star * q ** (-1.5) * np.outer(v, v)
+            gamma_star * _eye(v)
+            + mu_star * q ** (-0.5) * _eye(v)
+            - mu_star * q ** (-1.5) * _outer(v)
         )
 
     def exact(s):
@@ -222,19 +260,21 @@ def fang_regularized(a: float, b: float, beta_exp: float, epsilon: float) -> Sli
 
     def sig(v, t=0.0):
         v = _as_vec(v)
-        s = np.linalg.norm(v)
-        return mu(s) * v / np.sqrt(epsilon**2 + s**2)
+        s = np.sqrt(_dot(v, v))
+        return _col(mu(s)) * v / _col(np.sqrt(epsilon**2 + s**2))
 
     def jac(v, t=0.0):
         v = _as_vec(v)
-        s2 = v @ v
+        s2 = _dot(v, v)
         s = np.sqrt(s2)
         q = epsilon**2 + s2
-        base = mu(s) * (q ** (-0.5) * np.eye(2) - q ** (-1.5) * np.outer(v, v))
-        if s > 0.0:
-            # derivative of mu(|v|): dmu/dv = mu'(s) v / s
-            base += -beta_exp * (a - b) * np.exp(-beta_exp * s) * q ** (-0.5) / s * np.outer(v, v)
-        return base
+        base = _mat(mu(s)) * (_mat(q ** (-0.5)) * _eye(v)
+                              - _mat(q ** (-1.5)) * _outer(v))
+        # derivative of mu(|v|): dmu/dv = mu'(s) v / s for s > 0; at s = 0
+        # the outer product vanishes, so any finite divisor serves there
+        s_pos = np.where(s > 0.0, s, 1.0)
+        dmu = -beta_exp * (a - b) * np.exp(-beta_exp * s) * q ** (-0.5) / s_pos
+        return base + _mat(dmu) * _outer(v)
 
     return SlipLaw(
         name=f"fang(a={a}, b={b}, beta_exp={beta_exp}, eps={epsilon})",
@@ -267,7 +307,7 @@ def dynamic_moving_wall(gamma_star: float, beta_star: float, theta_star: float) 
         return gamma_star * (_as_vec(v) - wall(t))
 
     def jac(v, t=0.0):
-        return gamma_star * np.eye(2)
+        return gamma_star * _eye(_as_vec(v))
 
     return SlipLaw(
         name=f"dynamic(gamma*={gamma_star}, beta*={beta_star}, theta*={theta_star})",
@@ -332,17 +372,23 @@ def _sample_points(rng, count, radius, exclude):
 
 
 def _monotonicity_pairs(rng, pts, exclude):
-    """Independent pairs plus near-pairs around each sample; the local
-    defect of a smooth law is only visible at small separations."""
-    pairs = []
-    for i in range(0, len(pts) - 1, 2):
-        pairs.append((pts[i], pts[i + 1]))
-    for v in pts:
-        d = rng.normal(size=2)
-        d /= np.linalg.norm(d)
-        rho = 1e-3 * (np.linalg.norm(v) + max(exclude, 1e-6))
-        pairs.append((v, v + rho * d))
-    return pairs
+    """Independent pairs plus near-pairs around each sample, as two (N,2)
+    arrays; the local defect of a smooth law is only visible at small
+    separations."""
+    half = len(pts) // 2
+    d = rng.normal(size=pts.shape)
+    d /= _col(np.sqrt(_dot(d, d)))
+    rho = 1e-3 * (_col(np.sqrt(_dot(pts, pts))) + max(exclude, 1e-6))
+    v1 = np.vstack([pts[0:2 * half:2], pts])
+    v2 = np.vstack([pts[1:2 * half:2], pts + rho * d])
+    return v1, v2
+
+
+def _monotonicity_ratios(law: SlipLaw, v1, v2) -> np.ndarray:
+    """(sigma(v1) - sigma(v2)) . (v1 - v2) / |v1 - v2|^2 per pair."""
+    dv = v1 - v2
+    ds = law.sigma(v1, 0.0) - law.sigma(v2, 0.0)
+    return _dot(ds, dv) / _dot(dv, dv)
 
 
 def fit_lambda(law: SlipLaw, samples: int = 400, radius: float = 10.0,
@@ -352,35 +398,8 @@ def fit_lambda(law: SlipLaw, samples: int = 400, radius: float = 10.0,
     rng = np.random.default_rng(seed)
     exclude = law.epsilon / 10.0 if law.epsilon > 0 else 0.0
     pts = _sample_points(rng, samples, radius, exclude)
-    worst = 0.0
-    for v1, v2 in _monotonicity_pairs(rng, pts, exclude):
-        dv = v1 - v2
-        ds = law.sigma(v1, 0.0) - law.sigma(v2, 0.0)
-        worst = min(worst, float(ds @ dv) / float(dv @ dv))
-    return max(0.0, -worst)
-
-
-LAW_BUILDERS = {
-    "navier": navier,
-    "power_law": power_law,
-    "leroux_rajagopal": leroux_rajagopal,
-    "tresca_regularized": tresca_regularized,
-    "stick_slip_regularized": stick_slip_regularized,
-    "fang_regularized": fang_regularized,
-    "dynamic_moving_wall": dynamic_moving_wall,
-}
-
-
-def make_law(name: str, params: dict) -> SlipLaw:
-    """Construct a law from a config name and parameter map."""
-    if name not in LAW_BUILDERS:
-        raise SlipLawError(
-            f"unknown slip law {name!r}; known: {sorted(LAW_BUILDERS)}"
-        )
-    try:
-        return LAW_BUILDERS[name](**params)
-    except TypeError as exc:
-        raise SlipLawError(f"bad parameters for {name}: {exc}") from exc
+    ratios = _monotonicity_ratios(law, *_monotonicity_pairs(rng, pts, exclude))
+    return max(0.0, -min(0.0, float(ratios.min())))
 
 
 def certify(law: SlipLaw, samples: int = 200, radius: float = 10.0,
@@ -394,7 +413,7 @@ def certify(law: SlipLaw, samples: int = 200, radius: float = 10.0,
     needs to be nonnegative, matching the explicit noncoercive setting);
     (iv) for r = 1 laws, the traction bound sup|sigma| <= mu-type constant
     estimated as the supremum of |sigma| over the samples against the law's
-    |sigma(v)| at large |v|.
+    |sigma(v)| at large |v|.  A NaN at any sample fails its clause.
     """
     if law.wall_velocity is not None:
         raise SlipLawError("certify applies to laws with zero wall velocity")
@@ -410,83 +429,72 @@ def certify(law: SlipLaw, samples: int = 200, radius: float = 10.0,
 
     # (ii) lambda-monotonicity over sampled pairs (normalized defect)
     pts = _sample_points(rng, 2 * samples, radius, exclude)
-    worst = np.inf
-    witness = None
-    for v1, v2 in _monotonicity_pairs(rng, pts, exclude):
-        dv = v1 - v2
-        ds = law.sigma(v1, 0.0) - law.sigma(v2, 0.0)
-        val = float(ds @ dv) / float(dv @ dv) + lam
-        if val < worst:
-            worst = val
-            witness = [v1.tolist(), v2.tolist()]
+    v1, v2 = _monotonicity_pairs(rng, pts, exclude)
+    vals = _monotonicity_ratios(law, v1, v2) + lam
+    i = int(np.argmin(vals))
+    worst = float(vals[i])
     ok = worst >= -tol
-    clauses.append(
-        ClauseResult("lambda-monotone", ok, worst, None if ok else witness)
-    )
+    clauses.append(ClauseResult(
+        "lambda-monotone", ok, worst,
+        None if ok else [v1[i].tolist(), v2[i].tolist()],
+    ))
 
     # (iii) coercivity of the shifted map: (sigma + lam v) . v >= c (|v|^r - 1)
     pts = _sample_points(rng, samples, radius, exclude)
-    cfit = np.inf
-    cwitness = None
-    floor_ok = True
-    for v in pts:
-        sv = law.sigma(v, 0.0) + lam * v
-        num = float(sv @ v)
-        den = float(np.linalg.norm(v) ** law.r - 1.0)
-        if den > 0.1:
-            if num / den < cfit:
-                cfit = num / den
-                cwitness = [v.tolist()]
-        elif den < -0.1 and num < 0.0:
-            # |v| < 1: any c > 0 works unless the shifted pairing dips below
-            # the -c(1 - |v|^r) envelope; a negative pairing already fails
-            floor_ok = False
-            cwitness = [v.tolist()]
-    if not np.isfinite(cfit):
-        cfit = 0.0
+    sig = law.sigma(pts, 0.0)
+    num = _dot(sig + lam * pts, pts)
+    den = np.sqrt(_dot(pts, pts)) ** law.r - 1.0
+    fit = np.flatnonzero(den > 0.1)
+    ratios = num[fit] / den[fit]
+    # |v| < 1: any c > 0 works unless the shifted pairing dips below the
+    # -c(1 - |v|^r) envelope; a negative pairing already fails
+    dips = np.flatnonzero((den < -0.1) & (num < 0.0))
+    cfit = float(ratios.min()) if fit.size else 0.0
+    # the witness is the later in sample order of the minimizer and the
+    # last dip
+    seen = ([fit[np.argmin(ratios)]] if fit.size else []) + list(dips[-1:])
+    cwitness = [pts[max(seen)].tolist()] if seen else None
     # strict positivity only for laws that declare coercivity; explicit
     # noncoercive relations (active walls, perfect slip) need only keep the
     # lambda-shifted pairing nonnegative
     need_strict = law.coercive and lam == 0.0
-    ok = floor_ok and (cfit > tol if need_strict else cfit >= -tol)
-    clauses.append(ClauseResult("coercivity", ok, float(cfit), None if ok else cwitness))
+    ok = not dips.size and (cfit > tol if need_strict else cfit >= -tol)
+    clauses.append(ClauseResult("coercivity", ok, cfit, None if ok else cwitness))
 
     # (iv) traction bound for r = 1 laws
     if law.r == 1.0:
-        sup = max(float(np.linalg.norm(law.sigma(v, 0.0))) for v in pts)
+        sup = float(np.sqrt(_dot(sig, sig)).max())
         bound = float(law.exact_magnitude(radius)) if law.exact_magnitude else sup
         ok = sup <= bound + tol
         clauses.append(ClauseResult("traction-bound", ok, sup))
 
     # Jacobian versus centered finite differences at |v| in [eps, radius]
-    worst_rel = 0.0
-    jwitness = None
     lo = max(law.epsilon, 1e-6 * radius)
     mags = np.exp(rng.uniform(np.log(lo), np.log(radius), 100))
     angs = rng.uniform(0.0, 2.0 * np.pi, 100)
-    for mag, ang in zip(mags, angs):
-        v = mag * np.array([np.cos(ang), np.sin(ang)])
-        rel = jacobian_fd_mismatch(law, v)
-        if rel > worst_rel:
-            worst_rel = rel
-            jwitness = [v.tolist()]
+    v = mags[:, None] * np.column_stack([np.cos(angs), np.sin(angs)])
+    rel = jacobian_fd_mismatch(law, v)
+    i = int(np.argmax(rel))
+    worst_rel = float(rel[i])
     ok = worst_rel <= 1e-6
-    clauses.append(
-        ClauseResult("jacobian-fd", ok, float(worst_rel), None if ok else jwitness)
-    )
+    clauses.append(ClauseResult(
+        "jacobian-fd", ok, worst_rel, None if ok else [v[i].tolist()]
+    ))
 
     return Certificate(law.name, lam, clauses)
 
 
-def jacobian_fd_mismatch(law: SlipLaw, v, t: float = 0.0) -> float:
+def jacobian_fd_mismatch(law: SlipLaw, v, t: float = 0.0):
     """Relative mismatch between the analytic Jacobian and a centered
-    difference with a step adapted to the local scale max(|v|, eps)."""
+    difference with a step adapted to the local scale max(|v|, eps), one
+    value per velocity of v (..., 2)."""
     v = _as_vec(v)
-    h = 1e-7 * max(np.linalg.norm(v), law.epsilon, 1e-12)
+    h = 1e-7 * np.maximum(np.sqrt(_dot(v, v)), max(law.epsilon, 1e-12))
     J = law.jacobian(v, t)
-    Jfd = np.empty((2, 2))
+    Jfd = np.empty(v.shape + (2,))
     for k in range(2):
-        e = np.zeros(2)
-        e[k] = h
-        Jfd[:, k] = (law.sigma(v + e, t) - law.sigma(v - e, t)) / (2 * h)
-    return float(np.abs(J - Jfd).max() / max(np.abs(J).max(), 1e-30))
+        e = np.zeros(v.shape)
+        e[..., k] = h
+        Jfd[..., k] = (law.sigma(v + e, t) - law.sigma(v - e, t)) / (2 * h[..., None])
+    err = np.abs(J - Jfd).max(axis=(-2, -1))
+    return (err / np.maximum(np.abs(J).max(axis=(-2, -1)), 1e-30))[()]

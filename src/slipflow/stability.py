@@ -14,7 +14,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import TaylorHoodSpace
+from .fespace import FacetTable, TaylorHoodSpace
 from .forms import get_cache
 from .sliplaw import SlipLaw
 
@@ -51,89 +51,15 @@ def inverse_trace_constant(space: TaylorHoodSpace) -> float:
     all (boundary facet, cell) pairs of the scalar P2 space, returned as
     the square root."""
     mesh = space.mesh
-    wq = space.qweights
-    phi = space.phi
-    worst = 0.0
-    for f in range(mesh.num_facets):
-        t = mesh.facet_cells[f]
-        hF = mesh.facet_h[f]
-        detJ = space.detJ[t]
-        MK = np.einsum("q,aq,bq->ab", wq * detJ, phi, phi)
-        Tr = space.ftr[f]
-        MF = np.einsum("q,aq,bq->ab", space.fqweights * hF, Tr, Tr)
-        lam = sla.eigh(hF * MF, MK, eigvals_only=True)[-1]
-        worst = max(worst, float(lam))
-    return float(np.sqrt(worst))
-
-
-# ---------------------------------------------------------------------------
-# boundary normal-trace mass on a facet selection
-# ---------------------------------------------------------------------------
-
-def _normal_trace_mass(space: TaylorHoodSpace, facets) -> sp.csr_matrix:
-    """<(u.n), (v.n)> over the given boundary facets."""
-    rows, cols, data = [], [], []
-    for f in facets:
-        t = space.mesh.facet_cells[f]
-        n = space.mesh.facet_normals[f]
-        wf = space.fqweights * space.mesh.facet_h[f]
-        Tr = space.ftr[f]
-        tt = np.einsum("q,aq,bq->ab", wf, Tr, Tr)
-        loc = np.einsum("ab,c,d->acbd", tt, n, n).reshape(12, 12)
-        dofs = space.cell_vdofs[t]
-        rows.append(np.repeat(dofs, 12))
-        cols.append(np.tile(dofs, 12))
-        data.append(loc.ravel())
-    if not rows:
-        return sp.csr_matrix((space.n_vdofs, space.n_vdofs))
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_vdofs, space.n_vdofs),
-    ).tocsr()
-
-
-def _full_trace_mass(space: TaylorHoodSpace, facets) -> sp.csr_matrix:
-    """<u, v> over the given boundary facets (both components)."""
-    rows, cols, data = [], [], []
-    for f in facets:
-        t = space.mesh.facet_cells[f]
-        wf = space.fqweights * space.mesh.facet_h[f]
-        Tr = space.ftr[f]
-        tt = np.einsum("q,aq,bq->ab", wf, Tr, Tr)
-        loc = np.zeros((6, 2, 6, 2))
-        loc[:, 0, :, 0] = tt
-        loc[:, 1, :, 1] = tt
-        dofs = space.cell_vdofs[t]
-        rows.append(np.repeat(dofs, 12))
-        cols.append(np.tile(dofs, 12))
-        data.append(loc.reshape(-1))
-    if not rows:
-        return sp.csr_matrix((space.n_vdofs, space.n_vdofs))
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_vdofs, space.n_vdofs),
-    ).tocsr()
-
-
-def _penalty_mass(space: TaylorHoodSpace, facets) -> sp.csr_matrix:
-    """<h^-1 (u.n), (v.n)> over the given boundary facets."""
-    rows, cols, data = [], [], []
-    for f in facets:
-        t = space.mesh.facet_cells[f]
-        n = space.mesh.facet_normals[f]
-        Tr = space.ftr[f]
-        tt = np.einsum("q,aq,bq->ab", space.fqweights, Tr, Tr)  # h cancels
-        loc = np.einsum("ab,c,d->acbd", tt, n, n).reshape(12, 12)
-        dofs = space.cell_vdofs[t]
-        rows.append(np.repeat(dofs, 12))
-        cols.append(np.tile(dofs, 12))
-        data.append(loc.ravel())
-    if not rows:
-        return sp.csr_matrix((space.n_vdofs, space.n_vdofs))
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_vdofs, space.n_vdofs),
-    ).tocsr()
+    h = mesh.facet_h
+    Tr = space.ftr                                                 # (F,6,Qf)
+    MF = np.einsum("fq,faq,fbq->fab", h[:, None] * space.fqweights, Tr, Tr)
+    MK = np.einsum("f,q,aq,bq->fab", space.detJ[mesh.facet_cells],
+                   space.qweights, space.phi, space.phi)
+    # h MF x = lam MK x  <=>  (L^-1 h MF L^-T) y = lam y with MK = L L^T
+    Linv = np.linalg.inv(np.linalg.cholesky(MK))
+    C = Linv @ (h[:, None, None] * MF) @ Linv.transpose(0, 2, 1)
+    return float(np.sqrt(np.linalg.eigvalsh(C)[:, -1].max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +87,7 @@ def korn_normal_trace_min_eig(space: TaylorHoodSpace, facets=None):
     if facets is None:
         facets = np.arange(space.mesh.num_facets)
     cache = get_cache(space)
-    A = cache.K_D + _normal_trace_mass(space, facets)
+    A = cache.K_D + FacetTable(space, facets).mass(normal=True)
     M = cache.K_G + cache.M_u
     return _smallest_eig(A, M)
 
@@ -170,17 +96,16 @@ def wall_facets(space: TaylorHoodSpace, walls, tol: float = 1e-12) -> np.ndarray
     """Boundary facet indices of named unit-square walls
     ('top', 'bottom', 'left', 'right')."""
     tests = {
-        "top": lambda m: abs(m[1] - 1.0) <= tol,
-        "bottom": lambda m: abs(m[1]) <= tol,
-        "left": lambda m: abs(m[0]) <= tol,
-        "right": lambda m: abs(m[0] - 1.0) <= tol,
+        "top": lambda m: np.abs(m[:, 1] - 1.0) <= tol,
+        "bottom": lambda m: np.abs(m[:, 1]) <= tol,
+        "left": lambda m: np.abs(m[:, 0]) <= tol,
+        "right": lambda m: np.abs(m[:, 0] - 1.0) <= tol,
     }
     mids = space.mesh.facet_midpoints()
-    out = []
-    for f, m in enumerate(mids):
-        if any(tests[w](m) for w in walls):
-            out.append(f)
-    return np.asarray(out, dtype=np.int64)
+    hit = np.zeros(len(mids), dtype=bool)
+    for w in walls:
+        hit |= tests[w](mids)
+    return np.flatnonzero(hit).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +119,9 @@ def trace_constant_xh(space: TaylorHoodSpace, facets=None) -> float:
     if facets is None:
         facets = space.slip_facets
     cache = get_cache(space)
-    A_x = cache.K_D + _penalty_mass(space, facets)
-    M_g = _full_trace_mass(space, facets)
+    bd = FacetTable(space, facets)
+    A_x = cache.K_D + bd.mass(normal=True, per_h=True)
+    M_g = bd.mass()
     free = np.setdiff1d(np.arange(space.n_vdofs), space.dirichlet_vdofs)
     A_x = A_x[np.ix_(free, free)]
     M_g = M_g[np.ix_(free, free)]
@@ -210,21 +136,15 @@ def trace_constant_xh(space: TaylorHoodSpace, facets=None) -> float:
 # discrete inf-sup constant
 # ---------------------------------------------------------------------------
 
-def infsup_constant(mesh_or_space) -> float:
+def infsup_constant(space: TaylorHoodSpace) -> float:
     """Discrete inf-sup constant of the Taylor-Hood pair with homogeneous
     Dirichlet velocity: sqrt of the smallest nonzero eigenvalue of the
     pressure Schur complement B K^-1 B^T q = lam M_p q, with the constant
     pressure mode deflated."""
-    space = mesh_or_space
     cache = get_cache(space)
-    mesh = space.mesh
 
     # interior velocity DOFs: velocity nodes not on the boundary
-    bnodes = set()
-    for f in range(mesh.num_facets):
-        va, vb = mesh.facet_vertices[f]
-        bnodes.update((int(va), int(vb), int(mesh.num_vertices + mesh.facet_edges[f])))
-    bnodes = np.array(sorted(bnodes), dtype=np.int64)
+    bnodes = space.facet_vnodes(np.arange(space.mesh.num_facets))
     bdofs = np.concatenate([2 * bnodes, 2 * bnodes + 1])
     free = np.setdiff1d(np.arange(space.n_vdofs), bdofs)
     if free.size == 0:

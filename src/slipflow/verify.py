@@ -215,7 +215,7 @@ def slip_correction(sol: ManufacturedSolution, law: SlipLaw, nu: float) -> Calla
 
     def g(x, t=0.0):
         need = sol.traction_top(x, t, nu)
-        have = np.array([law.sigma(v, t) for v in sol.u(x, t)])
+        have = np.array(law.sigma(sol.u(x, t), t), dtype=float)
         # tangential part on the top wall: zero the normal component
         have[:, 1] = 0.0
         return need - have

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from slipflow.fespace import SystemState, TaylorHoodSpace
 from slipflow.forms import (
@@ -12,7 +11,6 @@ from slipflow.forms import (
     boundary_functionals,
     energy_balance,
     get_cache,
-    save_matrix_coo,
     trilinear_skew,
     trilinear_standard,
 )
@@ -297,15 +295,6 @@ def test_energy_balance_antisymmetric_nitsche_term_vanishes(space4, rng):
     ctx.project_dirichlet(st)
     eb = energy_balance(st, ctx)
     assert eb.nitsche == 0.0
-
-
-def test_save_matrix_coo(tmp_path):
-    A = sp.csr_matrix(np.array([[1.5, 0.0], [0.0, -2.0]]))
-    path = tmp_path / "mat.txt"
-    save_matrix_coo(A, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "# 2 2 2"
-    assert lines[1].split() == ["0", "0", "1.5"]
 
 
 def test_pinned_pressure_mode(space4, rng):

@@ -11,7 +11,6 @@ from slipflow.sliplaw import (
     fit_lambda,
     jacobian_fd_mismatch,
     leroux_rajagopal,
-    make_law,
     navier,
     power_law,
     stick_slip_regularized,
@@ -141,15 +140,6 @@ def test_dynamic_no_relative_slip():
     assert np.allclose(law.sigma(law.wall_velocity(t), t), 0.0)
 
 
-def test_make_law_from_config():
-    law = make_law("tresca_regularized", {"mu_star": 1.0, "epsilon": 2e-4})
-    assert "tresca" in law.name
-    with pytest.raises(SlipLawError):
-        make_law("unknown", {})
-    with pytest.raises(SlipLawError):
-        make_law("navier", {"bad_param": 1.0})
-
-
 # -- analytic Jacobians vs finite differences ---------------------------------
 
 @pytest.mark.parametrize("law", all_smooth_laws(), ids=lambda l: l.name)
@@ -235,3 +225,73 @@ def test_fit_lambda_consistency():
     assert fitted <= declared + 1e-6
     assert fit_lambda(navier(3.0)) == 0.0
     assert abs(fit_lambda(navier(-0.5)) - 0.5) <= 1e-9
+
+
+# -- array contract: (N,2) in, one traction and one Jacobian per row -------------
+
+ARRAY_LAWS = [
+    navier(1.5),
+    power_law(1.0, 1.5),
+    power_law(2.0, 2.0),
+    power_law(1.0, 3.0),
+    leroux_rajagopal(**PAPER_LEROUX),
+    stick_slip_regularized(2.0, 1.0, 2e-4),
+    tresca_regularized(1.0, 2e-4),
+    fang_regularized(**PAPER_FANG),
+    dynamic_moving_wall(1.0, 2.0, 0.01),
+]
+
+# components are 0 or of magnitude in [1e-6, 5]: zero rows hit the origin
+# branches, and no power of a subnormal speed overflows
+_component = st.one_of(
+    st.just(0.0), st.floats(1e-6, 5.0), st.floats(-5.0, -1e-6)
+)
+
+
+def _same_rows(batch, rows):
+    """Batch equals rows up to rounding of each row's largest entry (the
+    vectorized power of numpy may round differently from the scalar one);
+    NaN only where the rows have NaN."""
+    rows = np.asarray(rows)
+    assert batch.shape == rows.shape
+    nan = np.isnan(rows)
+    assert np.array_equal(np.isnan(batch), nan)
+    flat = lambda a: np.where(nan, 0.0, a).reshape(len(rows), -1)
+    scale = np.abs(flat(rows)).max(axis=1)
+    assert np.all(np.abs(flat(batch - rows)).max(axis=1) <= 1e-14 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    v=st.lists(st.tuples(_component, _component), min_size=1, max_size=12),
+    t=st.floats(0.0, 0.05),
+)
+def test_array_contract_matches_rows(v, t):
+    v = np.array(v)
+    for law in ARRAY_LAWS:
+        _same_rows(law.sigma(v, t), [law.sigma(x, t) for x in v])
+        _same_rows(law.jacobian(v, t), [law.jacobian(x, t) for x in v])
+
+
+@pytest.mark.parametrize("law", ARRAY_LAWS, ids=lambda l: l.name)
+def test_array_contract_zero_rows_and_shapes(law):
+    v = np.array([[0.0, 0.0], [0.3, -0.4], [0.0, 0.0]])
+    S, J = law.sigma(v, 0.02), law.jacobian(v, 0.02)
+    assert S.shape == (3, 2) and J.shape == (3, 2, 2)
+    assert law.sigma(v[1], 0.02).shape == (2,)
+    assert law.jacobian(v[1], 0.02).shape == (2, 2)
+    assert law.sigma(v[:0], 0.02).shape == (0, 2)
+    assert law.jacobian(v[:0], 0.02).shape == (0, 2, 2)
+    if law.name.startswith("power_law") and law.r != 2.0:
+        assert np.all(np.isnan(J[[0, 2]])) and np.all(np.isfinite(J[1]))
+    else:
+        assert np.all(np.isfinite(J))
+
+
+def test_array_contract_nested_batch():
+    law = fang_regularized(**PAPER_FANG)
+    v = np.linspace(-1.0, 1.0, 24).reshape(3, 4, 2)
+    _same_rows(law.sigma(v).reshape(-1, 2),
+               [law.sigma(x) for x in v.reshape(-1, 2)])
+    _same_rows(law.jacobian(v).reshape(-1, 2, 2),
+               [law.jacobian(x) for x in v.reshape(-1, 2)])
