@@ -115,6 +115,13 @@ class ErrorNorms:
     l2_un: float    # normal trace of the error on the slip boundary
 
 
+def block_indices(row_dofs: np.ndarray, col_dofs: np.ndarray):
+    """Row and column indices of the local blocks (K,R,C) that couple the
+    per-item dofs row_dofs (K,R) with col_dofs (K,C), row-major."""
+    return (np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel(),
+            np.tile(col_dofs, (1, row_dofs.shape[1])).ravel())
+
+
 # ---------------------------------------------------------------------------
 # boundary-facet tables
 # ---------------------------------------------------------------------------
@@ -141,12 +148,11 @@ class FacetTable:
         self.n = mesh.facet_normals[self.facets]
         self.P = np.eye(2) - self.n[:, :, None] * self.n[:, None, :]
         self.points = space.fpoints[self.facets]
-        self.rows = np.repeat(self.dofs, 12, axis=1).ravel()
-        self.cols = np.tile(self.dofs, (1, 12)).ravel()
+        self.rows, self.cols = block_indices(self.dofs, self.dofs)
 
     def values(self, u: np.ndarray) -> np.ndarray:
         """Velocity traces (F,Qf,2) at the facet quadrature points."""
-        return np.einsum("fac,faq->fqc", u[self.dofs].reshape(-1, 6, 2), self.tr)
+        return np.swapaxes(self.tr, 1, 2) @ u[self.dofs].reshape(-1, 6, 2)
 
     def split(self, g: np.ndarray):
         """Normal parts (F,Qf) and tangential parts (F,Qf,2) of a field
@@ -156,9 +162,18 @@ class FacetTable:
 
     def load(self, g: np.ndarray) -> np.ndarray:
         """<g, v> for all velocity test functions, g given (F,Qf,2)."""
-        loc = np.einsum("fq,faq,fqc->fac", self.w, self.tr, g)
+        loc = self.tr @ (self.w[:, :, None] * g)
         return np.bincount(self.dofs.ravel(), loc.ravel(),
                            minlength=self.space.n_vdofs)
+
+    def blocks(self, K: np.ndarray) -> np.ndarray:
+        """Local (F,6,2,6,2) blocks of <K v, w> for a matrix field K
+        (F,Qf,2,2) given at the facet quadrature points."""
+        F, Qf = self.w.shape
+        ttw = self.w[:, :, None, None] * (self.tr.transpose(0, 2, 1)[:, :, :, None]
+                                          * self.tr.transpose(0, 2, 1)[:, :, None, :])
+        loc = np.swapaxes(ttw.reshape(F, Qf, 36), 1, 2) @ K.reshape(F, Qf, 4)
+        return loc.reshape(F, 6, 6, 2, 2).transpose(0, 1, 3, 2, 4)
 
     def matrix(self, loc: np.ndarray) -> sp.csr_matrix:
         """Scatter local (F,6,2,6,2) blocks into a velocity matrix."""
@@ -216,7 +231,7 @@ class TaylorHoodSpace:
         # quadrature and reference bases
         self.qpoints, self.qweights = triangle_quadrature(cell_degree)
         self.phi, self.dphi = p2_basis(self.qpoints)           # (6,Q), (6,Q,2)
-        self.psi, self.dpsi = p1_basis(self.qpoints)           # (3,Q), (3,Q,2)
+        self.psi = p1_basis(self.qpoints)[0]                   # (3,Q)
         self.fqpoints, self.fqweights = interval_quadrature(facet_degree)
 
         # affine geometry per cell
@@ -230,10 +245,12 @@ class TaylorHoodSpace:
         invJ[:, 1, 1] = J[:, 0, 0]
         invJ /= self.detJ[:, None, None]
         self.invJ = invJ
-        # physical gradients of P2/P1 bases at all quadrature points
-        # grad_x phi = invJ^T grad_ref phi
-        self.G = np.einsum("aqj,tji->taqi", self.dphi, invJ)    # (T,6,Q,2)
-        self.Gp = np.einsum("aqj,tji->taqi", self.dpsi, invJ)   # (T,3,Q,2)
+        self.wdet = self.qweights[None, :] * self.detJ[:, None]   # (T,Q)
+        # the P2 basis at the quadrature points: values, then the d/d xi_0
+        # and d/d xi_1 reference derivatives, Q columns each
+        self.ref_table = np.hstack(
+            [self.phi, self.dphi[:, :, 0], self.dphi[:, :, 1]]
+        )                                                       # (6,3Q)
         # physical quadrature points
         self.xq = p[:, None, 0, :] + np.einsum(
             "tij,qj->tqi", J, self.qpoints
@@ -370,12 +387,21 @@ class TaylorHoodSpace:
 
     # -- bulk evaluation at quadrature points --------------------------------
 
+    def reference_velocity(self, u: np.ndarray) -> np.ndarray:
+        """Values and reference gradients at all cell quad points, component
+        major: (T,2,3,Q) with [t, c, 0] = u_c and [t, c, 1 + j] = d u_c /
+        d xi_j."""
+        T, Q = self.wdet.shape
+        U = u[self.cell_vdofs.reshape(T, 6, 2).transpose(0, 2, 1)]  # (T,2,6)
+        return (U.reshape(2 * T, 6) @ self.ref_table).reshape(T, 2, 3, Q)
+
     def velocity_at_quadrature(self, u: np.ndarray):
-        """Values (T,Q,2) and gradients (T,Q,2,2) at all cell quad points."""
-        loc = u[self.cell_vdofs].reshape(-1, 6, 2)              # (T,6,2)
-        vals = np.einsum("tac,aq->tqc", loc, self.phi)
-        grads = np.einsum("tac,taqi->tqci", loc, self.G)
-        return vals, grads
+        """Values (T,Q,2) and gradients (T,Q,2,2) at all cell quad points;
+        grads[t, q, c, i] = d u_c / d x_i."""
+        vg = self.reference_velocity(u)
+        # the geometry is affine: grad_x = invJ^T grad_xi
+        grads = np.swapaxes(self.invJ, 1, 2)[:, None] @ vg[:, :, 1:]   # (T,c,i,Q)
+        return vg[:, :, 0].transpose(0, 2, 1), grads.transpose(0, 3, 1, 2)
 
     def pressure_at_quadrature(self, p: np.ndarray):
         loc = p[self.cell_pdofs]                                 # (T,3)
@@ -398,7 +424,7 @@ class TaylorHoodSpace:
         ue = np.asarray(exact_u(X, t), dtype=float).reshape(self.xq.shape)
         pe = np.asarray(exact_p(X, t), dtype=float).reshape(ph.shape)
 
-        wdet = self.qweights[None, :] * self.detJ[:, None]       # (T,Q)
+        wdet = self.wdet
         du = uh - ue
         l2u = np.sqrt(np.einsum("tq,tqc->", wdet, du**2))
         l2p = np.sqrt(np.einsum("tq,tq->", wdet, (ph - pe) ** 2))

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import FacetTable, TaylorHoodSpace, SystemState
+from .fespace import FacetTable, TaylorHoodSpace, SystemState, block_indices
 from .sliplaw import SlipLaw
 
 
@@ -69,29 +69,29 @@ class FormCache:
     def __init__(self, space: TaylorHoodSpace):
         self.space = space
         T = space.mesh.num_cells
-        Q = space.qweights.size
-        wdet = space.qweights[None, :] * space.detJ[:, None]        # (T,Q)
+        wdet = space.wdet                                           # (T,Q)
 
-        # scatter index arrays for 12x12 cell blocks
-        cd = space.cell_vdofs
-        self.cell_rows = np.repeat(cd, 12, axis=1).ravel()
-        self.cell_cols = np.tile(cd, (1, 12)).ravel()
-        pd = space.cell_pdofs
-        self.pv_rows = np.repeat(pd, 12, axis=1).ravel()
-        self.pv_cols = np.tile(cd, (1, 3)).ravel()
+        cell_rows, cell_cols = block_indices(space.cell_vdofs, space.cell_vdofs)
+        pv_rows, pv_cols = block_indices(space.cell_pdofs, space.cell_vdofs)
 
         Nu, Np = space.n_vdofs, space.n_pdofs
         shape_uu = (Nu, Nu)
         shape_pu = (Np, Nu)
 
-        phi, G, psi = space.phi, space.G, space.psi
+        def scatter_uu(loc):
+            return sp.coo_matrix((loc.ravel(), (cell_rows, cell_cols)),
+                                 shape=shape_uu).tocsr()
+
+        phi, psi = space.phi, space.psi
+        # physical gradients of the P2 basis: grad_x phi = invJ^T grad_xi phi
+        G = np.einsum("aqj,tji->taqi", space.dphi, space.invJ)     # (T,6,Q,2)
 
         # scalar and vector mass
         m_scal = np.einsum("tq,aq,bq->tab", wdet, phi, phi)
         loc = np.zeros((T, 6, 2, 6, 2))
         loc[:, :, 0, :, 0] = m_scal
         loc[:, :, 1, :, 1] = m_scal
-        self.M_u = self._scatter_uu(loc, shape_uu)
+        self.M_u = scatter_uu(loc)
 
         # symmetric-gradient stiffness: (Du, Dv) for u = phi_b e_d,
         # v = phi_a e_c is (1/2)[delta_cd grad(phi_a).grad(phi_b)
@@ -103,18 +103,18 @@ class FormCache:
         loc[:, :, 1, :, 1] = 0.5 * (gg + gd[:, :, 1, :, 1])
         loc[:, :, 0, :, 1] = 0.5 * gd[:, :, 1, :, 0]
         loc[:, :, 1, :, 0] = 0.5 * gd[:, :, 0, :, 1]
-        self.K_D = self._scatter_uu(loc, shape_uu)
+        self.K_D = scatter_uu(loc)
 
         # full-gradient stiffness (grad u, grad v), used by certification
         loc = np.zeros((T, 6, 2, 6, 2))
         loc[:, :, 0, :, 0] = gg
         loc[:, :, 1, :, 1] = gg
-        self.K_G = self._scatter_uu(loc, shape_uu)
+        self.K_G = scatter_uu(loc)
 
         # divergence coupling (q, div u) and pressure integrals (q, 1)
         bloc = np.einsum("tq,iq,tbqd->tibd", wdet, psi, G).reshape(T, 3, 12)
         self.B_div = sp.coo_matrix(
-            (bloc.ravel(), (self.pv_rows, self.pv_cols)), shape=shape_pu
+            (bloc.ravel(), (pv_rows, pv_cols)), shape=shape_pu
         ).tocsr()
         e = np.zeros(Np)
         np.add.at(e, space.cell_pdofs.ravel(),
@@ -132,20 +132,104 @@ class FormCache:
         self.C_nit = sl.matrix(np.einsum("fab,fc,fd->facbd", ctt, sl.n, sl.n))
         # <q, v.n>
         btt = np.einsum("fq,fiq,fbq->fib", sl.w, space.fpsi[sl.facets], sl.tr)
-        fpd = space.cell_pdofs[sl.cells]
         self.B_n = sp.coo_matrix(
             (np.einsum("fib,fd->fibd", btt, sl.n).ravel(),
-             (np.repeat(fpd, 12, axis=1).ravel(), np.tile(sl.dofs, (1, 3)).ravel())),
+             block_indices(space.cell_pdofs[sl.cells], sl.dofs)),
             shape=shape_pu,
         ).tocsr()
 
         self.G_c = (self.B_div - self.B_n).tocsr()   # paper continuity operator
+        self.G_cT = self.G_c.T.tocsr()
 
-    def _scatter_uu(self, loc, shape):
-        return sp.coo_matrix(
-            (loc.reshape(len(loc), 144).ravel(), (self.cell_rows, self.cell_cols)),
-            shape=shape,
-        ).tocsr()
+        # reference table of the convection Jacobian, weighted by the
+        # quadrature weights; columns (a, b), rows: phi_a phi_b (q), then
+        # -d_j phi_a phi_b and phi_a d_j phi_b - d_j phi_a phi_b (j, q)
+        qw, dphi = space.qweights, space.dphi
+        Q = qw.size
+        pp = np.einsum("q,aq,bq->qab", qw, phi, phi)
+        dp = np.einsum("q,aqj,bq->jqab", qw, dphi, phi)
+        pd = np.einsum("q,aq,bqj->jqab", qw, phi, dphi)
+        self.conv_table = np.concatenate(
+            [pp.reshape(Q, 36), -dp.reshape(2 * Q, 36), (pd - dp).reshape(2 * Q, 36)]
+        )                                                           # (5Q,36)
+        self._patterns = {}
+
+    def pattern(self, mean_pressure_mode: str) -> "JacobianPattern":
+        """The Jacobian sparsity pattern of one mean-pressure mode, built
+        on first use."""
+        if mean_pressure_mode not in self._patterns:
+            self._patterns[mean_pressure_mode] = JacobianPattern(
+                self, mean_pressure_mode)
+        return self._patterns[mean_pressure_mode]
+
+
+class JacobianPattern:
+    """One CSC sparsity pattern for every Jacobian on a space.
+
+    The velocity block is the cell connectivity, which holds every entry
+    of the linear, slip-facet and convection blocks; the velocity-pressure
+    blocks are the cell couplings, and multiplier mode adds the dense
+    multiplier row and column.  Rows and columns of the fixed DOFs
+    (Dirichlet velocity, and the pinned pressure) are eliminated and never
+    stored; each fixed DOF gets a unit diagonal.  A Jacobian is a `data`
+    array over this pattern; `cell_pos` (T*144) and `slip_pos` (F*144)
+    locate the entries of the (T,12,12) cell and (F,12,12) slip-facet
+    blocks in it, with `nnz` for an eliminated entry.
+    """
+
+    def __init__(self, cache: FormCache, mean_pressure_mode: str):
+        space = cache.space
+        Nu, Np = space.n_vdofs, space.n_pdofs
+        multiplier = mean_pressure_mode == "multiplier"
+        n = self.n = Nu + Np + int(multiplier)
+        fixed = space.dirichlet_vdofs
+        if not multiplier:
+            fixed = np.append(fixed, Nu)
+        self.keep = np.ones(n, dtype=bool)
+        self.keep[fixed] = False
+
+        cell_rows, cell_cols = block_indices(space.cell_vdofs, space.cell_vdofs)
+        pv_rows, pv_cols = block_indices(space.cell_pdofs + Nu, space.cell_vdofs)
+        rows = [cell_rows, pv_rows, pv_cols]
+        cols = [cell_cols, pv_cols, pv_rows]
+        if multiplier:
+            p, m = np.arange(Nu, Nu + Np), np.full(Np, n - 1)
+            rows += [p, m]
+            cols += [m, p]
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        live = self.keep[rows] & self.keep[cols]
+        # column-major keys sort into CSC order
+        keys = np.unique(np.concatenate([cols[live] * n + rows[live],
+                                         fixed * (n + 1)]))
+        self.nnz = keys.size
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // n, minlength=n))]
+        ).astype(np.int32)
+        self.fixed_pos = np.searchsorted(keys, fixed * (n + 1))
+        self.cell_pos = self.positions(cell_rows, cell_cols)
+        self.slip_pos = self.positions(cache.slip.rows, cache.slip.cols)
+
+    def positions(self, rows, cols) -> np.ndarray:
+        """Positions in `data` of the entries (rows, cols), `nnz` where a
+        fixed row or column eliminates the entry."""
+        n = self.n
+        keys = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
+        live = self.keep[rows] & self.keep[cols]
+        want = np.asarray(cols, dtype=np.int64) * n + rows
+        pos = np.searchsorted(keys, want)
+        if not np.array_equal(keys[np.minimum(pos[live], self.nnz - 1)],
+                              want[live]):
+            raise FormsError("matrix entry outside the Jacobian pattern")
+        return np.where(live, pos, self.nnz).astype(np.int32)
+
+    def gather(self, pos: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """`data` of the sum of the entries `values` at positions `pos`."""
+        return np.bincount(pos, values.ravel(), minlength=self.nnz + 1)[:self.nnz]
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
 
 
 def get_cache(space: TaylorHoodSpace) -> FormCache:
@@ -203,6 +287,7 @@ class AssemblyContext:
         self.cache = get_cache(space)
         self.alpha = self._resolve_alpha()
         self._lin = None
+        self._jac_const = None
         self._rhs_t = None
         self._g_t = None
 
@@ -234,6 +319,32 @@ class AssemblyContext:
             self._lin = A.tocsr()
         return self._lin
 
+    def jacobian_pattern(self) -> JacobianPattern:
+        """The sparsity pattern every Jacobian of this context has."""
+        return self.cache.pattern(self.config.mean_pressure_mode)
+
+    def jacobian_constant(self) -> np.ndarray:
+        """`data` of the state-independent part of the Jacobian over the
+        pattern: the linear operator, the continuity coupling, the
+        multiplier row and column, and the unit diagonal of fixed DOFs."""
+        if self._jac_const is None:
+            space, c, pat = self.space, self.cache, self.jacobian_pattern()
+            Nu, Np = space.n_vdofs, space.n_pdofs
+            lin, g = self.linear_operator().tocoo(), c.G_c.tocoo()
+            rows = [lin.row, g.row + Nu, g.col]
+            cols = [lin.col, g.col, g.row + Nu]
+            vals = [lin.data, -g.data, -g.data]
+            if self.config.mean_pressure_mode == "multiplier":
+                p, m = np.arange(Nu, Nu + Np), np.full(Np, Nu + Np)
+                rows += [p, m]
+                cols += [m, p]
+                vals += [c.e_p, c.e_p]
+            data = pat.gather(pat.positions(np.concatenate(rows), np.concatenate(cols)),
+                              np.concatenate(vals))
+            data[pat.fixed_pos] = 1.0
+            self._jac_const = data
+        return self._jac_const
+
     def advance(self, t: float, u_old: np.ndarray) -> None:
         """Move to the next backward Euler step."""
         self.t = float(t)
@@ -247,6 +358,7 @@ class AssemblyContext:
             raise FormsError(f"time step delta must be > 0, got {delta}")
         self.delta = delta
         self._lin = None
+        self._jac_const = None
 
     def force_vector(self) -> np.ndarray:
         """(f(.,t), v) for all velocity test functions."""
@@ -258,9 +370,9 @@ class AssemblyContext:
                 fv = np.asarray(self.forcing(X, self.t), dtype=float).reshape(
                     space.xq.shape
                 )
-                wdet = space.qweights[None, :] * space.detJ[:, None]
-                loc = np.einsum("tq,aq,tqc->tac", wdet, space.phi, fv)
-                np.add.at(F, space.cell_vdofs.ravel(), loc.reshape(-1, 12).ravel())
+                loc = space.phi @ (space.wdet[:, :, None] * fv)     # (T,6,2)
+                F = np.bincount(space.cell_vdofs.ravel(), loc.ravel(),
+                                minlength=space.n_vdofs)
             self._rhs_t = F
         return self._rhs_t
 
@@ -306,41 +418,47 @@ class AssemblyContext:
 # nonlinear pieces
 # ---------------------------------------------------------------------------
 
+def _transport_velocity(space: TaylorHoodSpace, u: np.ndarray):
+    """Component-major values and reference gradients of u (T,2,3,Q)
+    and the reference components invJ u (T,2,Q) of u as a transport
+    velocity: (u.grad) = sum_j wref_j d / d xi_j."""
+    vg = space.reference_velocity(u)
+    return vg, space.invJ @ vg[:, :, 0]
+
+
 def _convection_residual(space: TaylorHoodSpace, u: np.ndarray) -> np.ndarray:
     """btilde(u, u, v) for all velocity test functions v."""
-    vals, grads = space.velocity_at_quadrature(u)       # (T,Q,2), (T,Q,2,2)
-    wdet = space.qweights[None, :] * space.detJ[:, None]
-    adv = np.einsum("tqi,tqci->tqc", vals, grads)       # (u.grad)u
-    # test-side transport u.grad(phi_a)
-    Ba = np.einsum("tqi,taqi->taq", vals, space.G)      # (T,6,Q)
-    r1 = np.einsum("tq,aq,tqc->tac", wdet, space.phi, adv)
-    r2 = np.einsum("tq,taq,tqc->tac", wdet, Ba, vals)
-    loc = 0.5 * (r1 - r2)
-    out = np.zeros(space.n_vdofs)
-    np.add.at(out, space.cell_vdofs.ravel(), loc.reshape(-1, 12).ravel())
-    return out
+    T, Q = space.wdet.shape
+    vg, wref = _transport_velocity(space, u)
+    v, dv = vg[:, :, 0], vg[:, :, 1:]
+    ww = (0.5 * space.wdet)[:, None] * wref                     # (T,j,Q)
+    # tested with phi_a: the values rows carry (u.grad)u_c, the gradient
+    # rows -(u.grad) phi_a u_c
+    y = np.empty((T, 2, 3, Q))
+    y[:, :, 0] = ww[:, None, 0] * dv[:, :, 0] + ww[:, None, 1] * dv[:, :, 1]
+    y[:, :, 1:] = -ww[:, None] * v[:, :, None]
+    loc = (y.reshape(2 * T, 3 * Q) @ space.ref_table.T).reshape(T, 2, 6)
+    return np.bincount(space.cell_vdofs.ravel(), loc.transpose(0, 2, 1).ravel(),
+                       minlength=space.n_vdofs)
 
 
-def _convection_jacobian(space: TaylorHoodSpace, u: np.ndarray,
-                         cache: FormCache) -> sp.csr_matrix:
-    """Derivative of btilde(u, u, v) in u."""
-    vals, grads = space.velocity_at_quadrature(u)
-    wdet = space.qweights[None, :] * space.detJ[:, None]
-    phi, G = space.phi, space.G
-    Bu = np.einsum("tqi,taqi->taq", vals, G)            # u.grad(phi_a)
-    # terms in (a,c),(b,d) layout
-    t1 = np.einsum("tq,aq,bq,tqcd->tacbd", wdet, phi, phi, grads)
-    t2 = np.einsum("tq,aq,tbq->tab", wdet, phi, Bu)
-    t4 = np.einsum("tq,bq,taqd,tqc->tadbc", wdet, phi, G, vals)
-    loc = t1.copy()
-    loc[:, :, 0, :, 0] += t2 - t2.transpose(0, 2, 1)
-    loc[:, :, 1, :, 1] += t2 - t2.transpose(0, 2, 1)
-    loc -= t4.transpose(0, 1, 4, 3, 2)
-    loc *= 0.5
-    return sp.coo_matrix(
-        (loc.reshape(-1, 144).ravel(), (cache.cell_rows, cache.cell_cols)),
-        shape=(space.n_vdofs, space.n_vdofs),
-    ).tocsr()
+def _convection_jacobian(cache: FormCache, u: np.ndarray) -> np.ndarray:
+    """Local (T,6,2,6,2) blocks of the derivative of btilde(u, u, v) in u:
+    1/2 [((w.grad)u, v) + ((u.grad)w, v) - ((w.grad)v, u) - ((u.grad)v, w)]
+    for v = phi_a e_c and w = phi_b e_d."""
+    space = cache.space
+    T, Q = space.wdet.shape
+    vg, wref = _transport_velocity(space, u)
+    invJ = space.invJ
+    # one row (t, c, d) per local block against the rows of conv_table
+    x = np.zeros((T, 2, 2, 5, Q))
+    x[:, :, :, 0] = np.swapaxes(invJ, 1, 2)[:, None] @ vg[:, :, 1:]    # d_d u_c
+    x[:, :, :, 1:3] = vg[:, :, None, None, 0] * np.swapaxes(invJ, 1, 2)[:, None, :, :, None]
+    x[:, 0, 0, 3:] = wref
+    x[:, 1, 1, 3:] = wref
+    loc = (x.reshape(4 * T, 5 * Q) @ cache.conv_table).reshape(T, 2, 2, 6, 6)
+    loc *= (0.5 * space.detJ)[:, None, None, None, None]
+    return loc.transpose(0, 3, 1, 4, 2)
 
 
 def _slip_traction(ctx: AssemblyContext, u_tau: np.ndarray) -> np.ndarray:
@@ -364,16 +482,14 @@ def _slip_residual(ctx: AssemblyContext, u: np.ndarray) -> np.ndarray:
     return sl.load(sl.split(_slip_traction(ctx, u_tau))[1])
 
 
-def _slip_jacobian(ctx: AssemblyContext, u: np.ndarray) -> sp.csr_matrix:
-    """Derivative of the slip residual: P sigma'(u_tau) P under the trace
-    mass, with P the tangential projector."""
+def _slip_jacobian(ctx: AssemblyContext, u: np.ndarray) -> np.ndarray:
+    """Local (F,6,2,6,2) blocks of the derivative of the slip residual:
+    P sigma'(u_tau) P under the trace mass, with P the tangential
+    projector."""
     sl = ctx.cache.slip
     u_tau = sl.split(sl.values(u))[1]
     P = sl.P[:, None]
-    K = P @ ctx.law.jacobian(u_tau, ctx.t) @ P                   # (F,Qf,2,2)
-    return sl.matrix(
-        np.einsum("fq,faq,fbq,fqcd->facbd", sl.w, sl.tr, sl.tr, K, optimize=True)
-    )
+    return sl.blocks(P @ ctx.law.jacobian(u_tau, ctx.t) @ P)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +509,7 @@ def assemble_residual(state: SystemState, ctx: AssemblyContext) -> np.ndarray:
         raise FormsError("unsteady assembly needs u_old")
 
     r_u = ctx.linear_operator() @ u
-    r_u -= c.G_c.T @ p
+    r_u -= c.G_cT @ p
     r_u += _slip_residual(ctx, u)
     if ctx.config.include_convection:
         r_u += _convection_residual(space, u)
@@ -416,36 +532,19 @@ def assemble_residual(state: SystemState, ctx: AssemblyContext) -> np.ndarray:
     return np.concatenate([r_u, r_p])
 
 
-def assemble_jacobian(state: SystemState, ctx: AssemblyContext) -> sp.csr_matrix:
+def assemble_jacobian(state: SystemState, ctx: AssemblyContext) -> sp.csc_matrix:
     """Exact derivative of assemble_residual with symmetric Dirichlet
-    elimination (valid for updates vanishing at Dirichlet DOFs)."""
-    space, c = ctx.space, ctx.cache
-    J_uu = ctx.linear_operator() + _slip_jacobian(ctx, state.u)
+    elimination (valid for updates vanishing at Dirichlet DOFs).
+
+    Every Jacobian on a space and mean-pressure mode has the same CSC
+    pattern (`AssemblyContext.jacobian_pattern`), explicit zeros included.
+    """
+    pat = ctx.jacobian_pattern()
+    data = ctx.jacobian_constant() + pat.gather(pat.slip_pos,
+                                                _slip_jacobian(ctx, state.u))
     if ctx.config.include_convection:
-        J_uu = J_uu + _convection_jacobian(space, state.u, c)
-
-    Nu, Np = space.n_vdofs, space.n_pdofs
-    if ctx.config.mean_pressure_mode == "multiplier":
-        e = sp.csr_matrix(c.e_p[:, None])
-        J = sp.bmat(
-            [
-                [J_uu, -c.G_c.T, None],
-                [-c.G_c, None, e],
-                [None, e.T, None],
-            ],
-            format="csr",
-        )
-    else:
-        J = sp.bmat([[J_uu, -c.G_c.T], [-c.G_c, None]], format="csr")
-
-    # symmetric elimination of Dirichlet rows/columns (and the pressure pin)
-    fixed = space.dirichlet_vdofs
-    if ctx.config.mean_pressure_mode == "pinned":
-        fixed = np.concatenate([fixed, [Nu]])
-    keep = np.ones(J.shape[0])
-    keep[fixed] = 0.0
-    S = sp.diags(keep)
-    return ((S @ J @ S) + sp.diags(1.0 - keep)).tocsr()
+        data += pat.gather(pat.cell_pos, _convection_jacobian(ctx.cache, state.u))
+    return pat.matrix(data)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +553,19 @@ def assemble_jacobian(state: SystemState, ctx: AssemblyContext) -> sp.csr_matrix
 
 def trilinear_skew(space: TaylorHoodSpace, u, v, w) -> float:
     """Skew convective form 1/2 [ ((u.grad)v, w) - ((u.grad)w, v) ]."""
-    uv, _ = space.velocity_at_quadrature(u)
-    vv, gv = space.velocity_at_quadrature(v)
-    wv, gw = space.velocity_at_quadrature(w)
-    wdet = space.qweights[None, :] * space.detJ[:, None]
-    t1 = np.einsum("tq,tqi,tqci,tqc->", wdet, uv, gv, wv)
-    t2 = np.einsum("tq,tqi,tqci,tqc->", wdet, uv, gw, vv)
-    return 0.5 * float(t1 - t2)
+    # each distinct field is evaluated once; for v is w the two terms are
+    # the same sum and cancel exactly
+    evals = {}
+    for x in (u, v, w):
+        if id(x) not in evals:
+            evals[id(x)] = space.velocity_at_quadrature(x)
+    (uv, _), (vv, gv), (wv, gw) = (evals[id(x)] for x in (u, v, w))
+
+    def term(grads, other):
+        adv = uv[..., 0, None] * grads[..., 0] + uv[..., 1, None] * grads[..., 1]
+        return np.sum(space.wdet * np.vecdot(adv, other))
+
+    return 0.5 * float(term(gv, wv) - term(gw, vv))
 
 
 def trilinear_standard(space: TaylorHoodSpace, u, v, w) -> float:
@@ -550,21 +655,21 @@ def energy_balance(state: SystemState, ctx: AssemblyContext) -> EnergyBalance:
         t_time = float(du @ (c.M_u @ u) + ctx.law.beta_star * (du @ (c.M_B @ u)))
     else:
         t_time = 0.0
-    t_visc = 2.0 * cfg.nu * float(u @ (c.K_D @ u))
+    kd = float(u @ (c.K_D @ u))
+    pp = float(u @ (c.P_pen @ u))
+    t_visc = 2.0 * cfg.nu * kd
     t_conv = (
         trilinear_skew(space, u, u, u) if cfg.include_convection else 0.0
     )
     t_pres = -float(p @ (c.G_c @ u))
     t_slip = float(u @ _slip_residual(ctx, u))
-    t_pen = cfg.nu * ctx.alpha * float(u @ (c.P_pen @ u))
+    t_pen = cfg.nu * ctx.alpha * pp
     s = 1.0 if cfg.variant == "symmetric" else -1.0
     cu = float(u @ (c.C_nit @ u))
     t_nit = -2.0 * cfg.nu * (cu + s * cu)
     t_f = float(ctx.force_vector() @ u)
     resid = t_time + t_visc + t_conv + t_pres + t_slip + t_pen + t_nit - t_f
-    pform = float(
-        2.0 * (u @ (c.K_D @ u)) - 4.0 * cu + ctx.alpha * (u @ (c.P_pen @ u))
-    )
+    pform = 2.0 * kd - 4.0 * cu + ctx.alpha * pp
     return EnergyBalance(
         time=t_time, viscous=t_visc, convective=t_conv, pressure=t_pres,
         slip=t_slip, penalty=t_pen, nitsche=t_nit, force=t_f,

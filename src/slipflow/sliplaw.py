@@ -119,8 +119,9 @@ def navier(gamma: float) -> SlipLaw:
 def power_law(c: float, r: float) -> SlipLaw:
     """Monotone power law sigma = c |v|^(r-2) v for r in (1, inf).
 
-    For r < 2 the Jacobian is singular at the origin; it is returned as
-    NaN there for every r != 2.  Certification samples away from it.
+    At the origin the Jacobian is c I for r = 2 and the zero matrix for
+    r > 2; for r < 2 it is singular there and returned as NaN.
+    Certification samples away from the origin.
     """
     if c <= 0 or r <= 1:
         raise SlipLawError("power_law needs c > 0 and r > 1")
@@ -141,7 +142,7 @@ def power_law(c: float, r: float) -> SlipLaw:
         s0, s = speed(v)
         J = _mat(c * s ** (r - 2.0)) * _eye(v) \
             + _mat(c * (r - 2.0) * s ** (r - 4.0)) * _outer(v)
-        at_zero = c * np.eye(2) if r == 2.0 else np.nan
+        at_zero = c * np.eye(2) if r == 2.0 else 0.0 if r > 2.0 else np.nan
         return np.where(_mat(s0 == 0.0), at_zero, J)
 
     return SlipLaw(
@@ -268,8 +269,13 @@ def fang_regularized(a: float, b: float, beta_exp: float, epsilon: float) -> Sli
         s2 = _dot(v, v)
         s = np.sqrt(s2)
         q = epsilon**2 + s2
-        base = _mat(mu(s)) * (_mat(q ** (-0.5)) * _eye(v)
-                              - _mat(q ** (-1.5)) * _outer(v))
+        # q^-1/2 I - q^-3/2 v v^T = q^-3/2 (eps^2 I + C(v)) with C(v) =
+        # |v|^2 I - v v^T written out, so nothing cancels radially
+        C = np.empty(v.shape + (2,))
+        C[..., 0, 0] = v[..., 1] ** 2
+        C[..., 1, 1] = v[..., 0] ** 2
+        C[..., 0, 1] = C[..., 1, 0] = -v[..., 0] * v[..., 1]
+        base = _mat(mu(s) * q ** (-1.5)) * (epsilon**2 * _eye(v) + C)
         # derivative of mu(|v|): dmu/dv = mu'(s) v / s for s > 0; at s = 0
         # the outer product vanishes, so any finite divisor serves there
         s_pos = np.where(s > 0.0, s, 1.0)

@@ -83,7 +83,7 @@ class NewtonReport:
 def _factorize(state, ctx):
     J = assemble_jacobian(state, ctx)
     try:
-        return spla.splu(J.tocsc(), permc_spec="COLAMD")
+        return spla.splu(J, permc_spec="COLAMD")
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
 
@@ -140,8 +140,9 @@ def newton_solve(
                          step_label, it, rnorm)
                 continue
 
-        lu = _factorize(state, ctx)
-        factors.lu = lu
+        # free the old factors first: two factorizations never coexist
+        factors.lu = lu = None
+        factors.lu = lu = _factorize(state, ctx)
         d = lu.solve(-r)
 
         x = ctx.pack(state)

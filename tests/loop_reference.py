@@ -1,9 +1,11 @@
-"""Per-facet loop implementations of the boundary integrals.
+"""Reference implementations for the equivalence tests.
 
-These are the straightforward one-facet (and one-quadrature-point) at a
-time versions of the vectorized boundary layer in `slipflow.forms` and
-`slipflow.stability`.  They are kept only as independent references for
-the equivalence tests; the package never calls them.
+The boundary integrals as one-facet (and one-quadrature-point) at a time
+loops, the versions of the vectorized boundary layer in `slipflow.forms`
+and `slipflow.stability`; the cell-quadrature kernels as plain `einsum`
+contractions over physical basis gradients; and the Jacobian as CSR
+arithmetic (block matrix, then S J S elimination).  The package never
+calls them.
 """
 
 import numpy as np
@@ -216,3 +218,106 @@ def inverse_trace_constant(space):
         lam = sla.eigh(hF * MF, MK, eigvals_only=True)[-1]
         worst = max(worst, float(lam))
     return float(np.sqrt(worst))
+
+
+# ---------------------------------------------------------------------------
+# cell-quadrature kernels and the Jacobian, as plain einsum contractions
+# ---------------------------------------------------------------------------
+
+def physical_gradients(space):
+    """Gradients (T,6,Q,2) of the P2 basis at the cell quadrature points."""
+    return np.einsum("aqj,tji->taqi", space.dphi, space.invJ)
+
+
+def velocity_at_quadrature(space, u):
+    loc = u[space.cell_vdofs].reshape(-1, 6, 2)
+    vals = np.einsum("tac,aq->tqc", loc, space.phi)
+    grads = np.einsum("tac,taqi->tqci", loc, physical_gradients(space))
+    return vals, grads
+
+
+def _cell_scatter(space, loc):
+    cd = space.cell_vdofs
+    return sp.coo_matrix(
+        (loc.reshape(-1, 144).ravel(),
+         (np.repeat(cd, 12, axis=1).ravel(), np.tile(cd, (1, 12)).ravel())),
+        shape=(space.n_vdofs, space.n_vdofs),
+    ).tocsr()
+
+
+def convection_residual(space, u):
+    vals, grads = velocity_at_quadrature(space, u)
+    G = physical_gradients(space)
+    wdet = space.qweights[None, :] * space.detJ[:, None]
+    adv = np.einsum("tqi,tqci->tqc", vals, grads)
+    Ba = np.einsum("tqi,taqi->taq", vals, G)
+    r1 = np.einsum("tq,aq,tqc->tac", wdet, space.phi, adv)
+    r2 = np.einsum("tq,taq,tqc->tac", wdet, Ba, vals)
+    loc = 0.5 * (r1 - r2)
+    out = np.zeros(space.n_vdofs)
+    np.add.at(out, space.cell_vdofs.ravel(), loc.reshape(-1, 12).ravel())
+    return out
+
+
+def convection_jacobian(space, u):
+    vals, grads = velocity_at_quadrature(space, u)
+    G = physical_gradients(space)
+    wdet = space.qweights[None, :] * space.detJ[:, None]
+    phi = space.phi
+    Bu = np.einsum("tqi,taqi->taq", vals, G)
+    t1 = np.einsum("tq,aq,bq,tqcd->tacbd", wdet, phi, phi, grads)
+    t2 = np.einsum("tq,aq,tbq->tab", wdet, phi, Bu)
+    t4 = np.einsum("tq,bq,taqd,tqc->tadbc", wdet, phi, G, vals)
+    loc = t1.copy()
+    loc[:, :, 0, :, 0] += t2 - t2.transpose(0, 2, 1)
+    loc[:, :, 1, :, 1] += t2 - t2.transpose(0, 2, 1)
+    loc -= t4.transpose(0, 1, 4, 3, 2)
+    loc *= 0.5
+    return _cell_scatter(space, loc)
+
+
+def force_vector(ctx):
+    space = ctx.space
+    F = np.zeros(space.n_vdofs)
+    if ctx.forcing is not None:
+        fv = np.asarray(ctx.forcing(space.xq.reshape(-1, 2), ctx.t),
+                        dtype=float).reshape(space.xq.shape)
+        wdet = space.qweights[None, :] * space.detJ[:, None]
+        loc = np.einsum("tq,aq,tqc->tac", wdet, space.phi, fv)
+        np.add.at(F, space.cell_vdofs.ravel(), loc.reshape(-1, 12).ravel())
+    return F
+
+
+def trilinear_skew(space, u, v, w):
+    uv, _ = velocity_at_quadrature(space, u)
+    vv, gv = velocity_at_quadrature(space, v)
+    wv, gw = velocity_at_quadrature(space, w)
+    wdet = space.qweights[None, :] * space.detJ[:, None]
+    t1 = np.einsum("tq,tqi,tqci,tqc->", wdet, uv, gv, wv)
+    t2 = np.einsum("tq,tqi,tqci,tqc->", wdet, uv, gw, vv)
+    return 0.5 * float(t1 - t2)
+
+
+def jacobian(state, ctx):
+    """The Jacobian as CSR arithmetic: block matrix of the linear
+    operator, the slip and convection blocks and the continuity coupling,
+    then symmetric elimination S J S of the fixed DOFs plus their unit
+    diagonal."""
+    space, c = ctx.space, ctx.cache
+    J_uu = ctx.linear_operator() + slip_jacobian(ctx, state.u)
+    if ctx.config.include_convection:
+        J_uu = J_uu + convection_jacobian(space, state.u)
+    Nu = space.n_vdofs
+    if ctx.config.mean_pressure_mode == "multiplier":
+        e = sp.csr_matrix(c.e_p[:, None])
+        J = sp.bmat([[J_uu, -c.G_c.T, None], [-c.G_c, None, e], [None, e.T, None]],
+                    format="csr")
+    else:
+        J = sp.bmat([[J_uu, -c.G_c.T], [-c.G_c, None]], format="csr")
+    fixed = space.dirichlet_vdofs
+    if ctx.config.mean_pressure_mode == "pinned":
+        fixed = np.concatenate([fixed, [Nu]])
+    keep = np.ones(J.shape[0])
+    keep[fixed] = 0.0
+    S = sp.diags(keep)
+    return ((S @ J @ S) + sp.diags(1.0 - keep)).tocsr()

@@ -77,7 +77,8 @@ def test_slip_residual_and_jacobian_match_loops(space, rng):
     for ctx in contexts(space):
         for u in random_velocities(space, rng):
             close(_slip_residual(ctx, u), ref.slip_residual(ctx, u))
-            close(_slip_jacobian(ctx, u), ref.slip_jacobian(ctx, u))
+            close(ctx.cache.slip.matrix(_slip_jacobian(ctx, u)),
+                  ref.slip_jacobian(ctx, u))
 
 
 def test_boundary_functionals_match_loops(space, rng):
@@ -128,7 +129,7 @@ def test_empty_slip_selection():
                           dirichlet=0.0)
     u = np.ones(space.n_vdofs)
     assert not np.any(_slip_residual(ctx, u))
-    assert _slip_jacobian(ctx, u).nnz == 0
+    assert _slip_jacobian(ctx, u).shape == (0, 6, 2, 6, 2)
     assert boundary_functionals(SystemState(u, np.zeros(space.n_pdofs)),
                                 ctx).x.size == 0
 

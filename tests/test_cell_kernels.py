@@ -1,0 +1,118 @@
+"""The matmul cell kernels and the fixed-pattern Jacobian against the
+einsum and CSR-arithmetic references in `loop_reference.py`.
+
+Every comparison is to 1e-13 relative, on top-wall slip and on slip on
+all four walls, in both mean-pressure modes, steady and unsteady, with
+and without convection.
+"""
+
+import numpy as np
+import pytest
+
+import loop_reference as ref
+from test_boundary_layer import close
+from slipflow.fespace import SystemState, TaylorHoodSpace
+from slipflow.forms import (
+    AssemblyContext,
+    NitscheConfig,
+    _convection_jacobian,
+    _convection_residual,
+    assemble_jacobian,
+    energy_balance,
+    get_cache,
+    trilinear_skew,
+)
+from slipflow.mesh import BoundaryTag, build_unit_square, tag_boundary, top_wall_tagger
+from slipflow.sliplaw import fang_regularized, stick_slip_regularized
+
+RTOL = 1e-13
+
+
+@pytest.fixture(scope="module", params=["top", "all"])
+def space(request):
+    tagger = top_wall_tagger() if request.param == "top" else (
+        lambda m: BoundaryTag.SLIP)
+    return TaylorHoodSpace(tag_boundary(build_unit_square(5, "crossed"), tagger))
+
+
+def make_ctx(space, mode, steady, convection, rng):
+    law = stick_slip_regularized(0.5, 1.0, 2e-4) if steady else \
+        fang_regularized(1.6, 1.5, 10.0, 2e-4)
+    return AssemblyContext(
+        space,
+        NitscheConfig(alpha=10.0, mean_pressure_mode=mode,
+                      include_convection=convection),
+        law, dirichlet=0.0, t=0.3,
+        forcing=lambda x, t: np.column_stack([np.sin(3 * x[:, 1]), x[:, 0] ** 2]),
+        delta=None if steady else 0.01,
+        u_old=None if steady else rng.normal(size=space.n_vdofs),
+    )
+
+
+def random_state(ctx, rng, scale=1.0):
+    st = ctx.unpack(scale * rng.normal(size=ctx.n_sys))
+    return ctx.project_dirichlet(st)
+
+
+def test_velocity_at_quadrature_matches_einsum(space, rng):
+    u = rng.normal(size=space.n_vdofs)
+    for new, old in zip(space.velocity_at_quadrature(u),
+                        ref.velocity_at_quadrature(space, u)):
+        close(new, old)
+
+
+def test_convection_kernels_match_einsum(space, rng):
+    for scale in (1e-3, 1.0, 30.0):
+        u = scale * rng.normal(size=space.n_vdofs)
+        close(_convection_residual(space, u), ref.convection_residual(space, u))
+        close(ref._cell_scatter(space, _convection_jacobian(get_cache(space), u)),
+              ref.convection_jacobian(space, u))
+
+
+@pytest.mark.parametrize("mode", ["multiplier", "pinned"])
+@pytest.mark.parametrize("steady", [True, False], ids=["steady", "unsteady"])
+@pytest.mark.parametrize("convection", [True, False], ids=["conv", "noconv"])
+def test_jacobian_matches_csr_arithmetic(space, rng, mode, steady, convection):
+    ctx = make_ctx(space, mode, steady, convection, rng)
+    for scale in (1e-5, 1.0):
+        st = random_state(ctx, rng, scale)
+        close(assemble_jacobian(st, ctx), ref.jacobian(st, ctx))
+
+
+@pytest.mark.parametrize("mode", ["multiplier", "pinned"])
+def test_jacobian_pattern_is_fixed(space, rng, mode):
+    ctx = make_ctx(space, mode, steady=False, convection=True, rng=rng)
+    zero = ctx.project_dirichlet(SystemState.zero(space))
+    J0 = assemble_jacobian(zero, ctx)
+    assert J0.format == "csc" and J0.has_canonical_format
+    # CSR arithmetic drops the convection entries, which vanish at rest;
+    # the pattern keeps them as explicit zeros
+    assert ref.jacobian(zero, ctx).nnz < J0.nnz
+    st = random_state(ctx, rng)
+    J1 = assemble_jacobian(st, ctx)
+    ctx.set_timestep(0.002)
+    J2 = assemble_jacobian(st, ctx)
+    close(J2, ref.jacobian(st, ctx))
+    for J in (J1, J2):
+        assert np.array_equal(J.indptr, J0.indptr)
+        assert np.array_equal(J.indices, J0.indices)
+
+
+def test_trilinear_and_force_match_einsum(space, rng):
+    u, v, w = (rng.normal(size=space.n_vdofs) for _ in range(3))
+    scale = np.linalg.norm(u) * np.linalg.norm(v) * np.linalg.norm(w)
+    for args in ((u, v, w), (u, w, v), (u, v, v), (v, u, u)):
+        new, old = trilinear_skew(space, *args), ref.trilinear_skew(space, *args)
+        assert abs(new - old) <= RTOL * scale
+    ctx = make_ctx(space, "multiplier", steady=False, convection=True, rng=rng)
+    close(ctx.force_vector(), ref.force_vector(ctx))
+
+
+def test_energy_balance_terms_match_einsum(space, rng):
+    ctx = make_ctx(space, "multiplier", steady=False, convection=True, rng=rng)
+    st = random_state(ctx, rng)
+    eb = energy_balance(st, ctx)
+    # one field in all three slots: both terms are the same sum and cancel
+    assert eb.convective == ref.trilinear_skew(space, st.u, st.u, st.u) == 0.0
+    force = float(ref.force_vector(ctx) @ st.u)
+    assert abs(eb.force - force) <= RTOL * abs(force)

@@ -282,10 +282,39 @@ def test_array_contract_zero_rows_and_shapes(law):
     assert law.jacobian(v[1], 0.02).shape == (2, 2)
     assert law.sigma(v[:0], 0.02).shape == (0, 2)
     assert law.jacobian(v[:0], 0.02).shape == (0, 2, 2)
-    if law.name.startswith("power_law") and law.r != 2.0:
+    if law.name.startswith("power_law") and law.r < 2.0:
         assert np.all(np.isnan(J[[0, 2]])) and np.all(np.isfinite(J[1]))
     else:
         assert np.all(np.isfinite(J))
+    if law.name.startswith("power_law") and law.r > 2.0:
+        assert not np.any(J[[0, 2]])
+
+
+def _fang_jacobian_longdouble(v, a, b, beta_exp, epsilon):
+    """The fang Jacobian in extended precision, split into its tangential
+    part mu/sqrt(q) (I - r r^T) and its radial part along r = v/|v|, so
+    nothing cancels."""
+    v = np.asarray(v, dtype=np.longdouble)
+    a, b, beta_exp, eps = (np.longdouble(x) for x in (a, b, beta_exp, epsilon))
+    s = np.sqrt(v @ v)
+    q = eps * eps + s * s
+    e = np.exp(-beta_exp * s)
+    mu, dmu = (a - b) * e + b, -beta_exp * (a - b) * e
+    rr = np.outer(v / s, v / s)
+    return mu / np.sqrt(q) * (np.eye(2, dtype=np.longdouble) - rr) \
+        + (mu * eps * eps / q + dmu * s) / np.sqrt(q) * rr
+
+
+@pytest.mark.parametrize("speed", [1.0, 28.0, 1e3])
+def test_fang_jacobian_exact_radially(speed):
+    """Entry by entry to 1e-14, the radial entry of an axis-aligned slip
+    included: it is eps^2/|v|^2 smaller than the tangential one."""
+    law = fang_regularized(**PAPER_FANG)
+    for direction in ([1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [-0.28, 0.96]):
+        v = speed * np.array(direction)
+        got = law.jacobian(v)
+        want = _fang_jacobian_longdouble(v, **PAPER_FANG)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 def test_array_contract_nested_batch():

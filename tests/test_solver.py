@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from slipflow.fespace import SystemState
-from slipflow.forms import AssemblyContext, NitscheConfig, assemble_residual
-from slipflow.sliplaw import dynamic_moving_wall, navier, stick_slip_regularized
+from slipflow.forms import (
+    AssemblyContext,
+    NitscheConfig,
+    assemble_jacobian,
+    assemble_residual,
+)
+from slipflow.sliplaw import dynamic_moving_wall, navier, power_law, stick_slip_regularized
 from slipflow.solver import (
     ConfigError,
     NewtonConfig,
@@ -40,6 +45,21 @@ def test_rest_state_zero_iterations(space8):
     state, report = newton_solve(stokes_ctx(space8), cfg=NewtonConfig(abs_tol=1e-10))
     assert report.iterations == 0
     assert np.all(state.u == 0.0)
+
+
+def test_power_law_newton_from_rest(space4):
+    # r > 2: the slip law's Jacobian at rest is the zero matrix, not NaN
+    ctx = AssemblyContext(
+        space4, NitscheConfig(alpha=10.0), power_law(1.0, 3.0),
+        forcing=lambda x, t: np.column_stack([20.0 * x[:, 1], np.zeros(len(x))]),
+        dirichlet=0.0,
+    )
+    rest = ctx.project_dirichlet(SystemState.zero(space4))
+    assert np.all(np.isfinite(assemble_jacobian(rest, ctx).data))
+    state, report = newton_solve(ctx)
+    assert report.converged and report.iterations >= 2
+    assert np.abs(state.u).max() > 0.1
+    assert np.linalg.norm(assemble_residual(state, ctx)) <= 1e-9
 
 
 def test_newton_max_iter_error(space4):
