@@ -122,6 +122,12 @@ def block_indices(row_dofs: np.ndarray, col_dofs: np.ndarray):
             np.tile(col_dofs, (1, row_dofs.shape[1])).ravel())
 
 
+def scatter_blocks(loc: np.ndarray, index, shape) -> sp.csr_matrix:
+    """Sum the local blocks loc (K*R*C entries, row-major) into a CSR
+    matrix of `shape`; `index` is `block_indices` of their dofs."""
+    return sp.coo_matrix((loc.ravel(), index), shape=shape).tocsr()
+
+
 # ---------------------------------------------------------------------------
 # boundary-facet tables
 # ---------------------------------------------------------------------------
@@ -133,8 +139,7 @@ class FacetTable:
     F facets with Qf quadrature points each: velocity dofs (F,12) of the
     adjacent cells, P2 traces (F,6,Qf), quadrature weights h_F w_q (F,Qf),
     outward normals (F,2), tangential projectors I - n n^T (F,2,2),
-    physical points (F,Qf,2), and the row/column indices that scatter
-    (F,12,12) local blocks.
+    and physical points (F,Qf,2).
     """
 
     def __init__(self, space: TaylorHoodSpace, facets):
@@ -148,7 +153,6 @@ class FacetTable:
         self.n = mesh.facet_normals[self.facets]
         self.P = np.eye(2) - self.n[:, :, None] * self.n[:, None, :]
         self.points = space.fpoints[self.facets]
-        self.rows, self.cols = block_indices(self.dofs, self.dofs)
 
     def values(self, u: np.ndarray) -> np.ndarray:
         """Velocity traces (F,Qf,2) at the facet quadrature points."""
@@ -178,8 +182,7 @@ class FacetTable:
     def matrix(self, loc: np.ndarray) -> sp.csr_matrix:
         """Scatter local (F,6,2,6,2) blocks into a velocity matrix."""
         Nu = self.space.n_vdofs
-        return sp.coo_matrix((loc.ravel(), (self.rows, self.cols)),
-                             shape=(Nu, Nu)).tocsr()
+        return scatter_blocks(loc, block_indices(self.dofs, self.dofs), (Nu, Nu))
 
     def mass(self, normal: bool = False, per_h: bool = False) -> sp.csr_matrix:
         """The boundary mass <u, v>, or <u.n, v.n> when `normal`, over the
@@ -205,7 +208,7 @@ class TaylorHoodSpace:
     Immutable after construction; evaluation methods are reentrant.
     """
 
-    def __init__(self, mesh: Mesh, cell_degree: int = 6, facet_degree: int = 6):
+    def __init__(self, mesh: Mesh):
         mesh.require_tagged()
         self.mesh = mesh
 
@@ -228,11 +231,11 @@ class TaylorHoodSpace:
         self.cell_vdofs[:, 1::2] = 2 * cv + 1
         self.cell_pdofs = mesh.cells
 
-        # quadrature and reference bases
-        self.qpoints, self.qweights = triangle_quadrature(cell_degree)
+        # quadrature (exact to degree 6) and reference bases
+        self.qpoints, self.qweights = triangle_quadrature()
         self.phi, self.dphi = p2_basis(self.qpoints)           # (6,Q), (6,Q,2)
         self.psi = p1_basis(self.qpoints)[0]                   # (3,Q)
-        self.fqpoints, self.fqweights = interval_quadrature(facet_degree)
+        self.fqpoints, self.fqweights = interval_quadrature()
 
         # affine geometry per cell
         p = mesh.vertices[mesh.cells]                          # (T,3,2)

@@ -14,21 +14,23 @@ s = +1 for the symmetric and s = -1 for the antisymmetric variant:
 Continuity rows are assembled with the sign flipped relative to testing
 the saddle form with q (solution-equivalent) so that the linear part of
 the matrix is symmetric whenever the remaining forms are; the mean
-pressure is controlled by a scalar multiplier column/row (or by pinning
-one pressure DOF).  Dirichlet velocity rows/columns are eliminated
-symmetrically; callers must keep Dirichlet entries of the state at their
-boundary values (the Newton solver projects them).
+pressure is controlled by a scalar multiplier column/row.  Dirichlet
+velocity rows/columns are eliminated symmetrically; callers must keep
+Dirichlet entries of the state at their boundary values (the Newton
+solver projects them).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fespace import FacetTable, TaylorHoodSpace, SystemState, block_indices
+from .fespace import (FacetTable, TaylorHoodSpace, SystemState, block_indices,
+                      scatter_blocks)
 from .sliplaw import SlipLaw
 
 
@@ -42,15 +44,12 @@ class NitscheConfig:
     alpha: Union[float, str] = 10.0          # number or "auto"
     variant: str = "symmetric"                # or "antisymmetric"
     include_convection: bool = True
-    mean_pressure_mode: str = "multiplier"    # or "pinned"
 
     def __post_init__(self):
         if self.nu <= 0:
             raise FormsError("viscosity nu must be > 0")
         if self.variant not in ("symmetric", "antisymmetric"):
             raise FormsError(f"unknown variant {self.variant!r}")
-        if self.mean_pressure_mode not in ("multiplier", "pinned"):
-            raise FormsError(f"unknown mean_pressure_mode {self.mean_pressure_mode!r}")
         if not (self.alpha == "auto" or float(self.alpha) > 0):
             raise FormsError("penalty alpha must be > 0 or 'auto'")
 
@@ -71,16 +70,11 @@ class FormCache:
         T = space.mesh.num_cells
         wdet = space.wdet                                           # (T,Q)
 
-        cell_rows, cell_cols = block_indices(space.cell_vdofs, space.cell_vdofs)
-        pv_rows, pv_cols = block_indices(space.cell_pdofs, space.cell_vdofs)
-
         Nu, Np = space.n_vdofs, space.n_pdofs
+        cd = space.cell_vdofs
+        cells = block_indices(cd, cd)
         shape_uu = (Nu, Nu)
         shape_pu = (Np, Nu)
-
-        def scatter_uu(loc):
-            return sp.coo_matrix((loc.ravel(), (cell_rows, cell_cols)),
-                                 shape=shape_uu).tocsr()
 
         phi, psi = space.phi, space.psi
         # physical gradients of the P2 basis: grad_x phi = invJ^T grad_xi phi
@@ -91,7 +85,7 @@ class FormCache:
         loc = np.zeros((T, 6, 2, 6, 2))
         loc[:, :, 0, :, 0] = m_scal
         loc[:, :, 1, :, 1] = m_scal
-        self.M_u = scatter_uu(loc)
+        self.M_u = scatter_blocks(loc, cells, shape_uu)
 
         # symmetric-gradient stiffness: (Du, Dv) for u = phi_b e_d,
         # v = phi_a e_c is (1/2)[delta_cd grad(phi_a).grad(phi_b)
@@ -103,24 +97,21 @@ class FormCache:
         loc[:, :, 1, :, 1] = 0.5 * (gg + gd[:, :, 1, :, 1])
         loc[:, :, 0, :, 1] = 0.5 * gd[:, :, 1, :, 0]
         loc[:, :, 1, :, 0] = 0.5 * gd[:, :, 0, :, 1]
-        self.K_D = scatter_uu(loc)
+        self.K_D = scatter_blocks(loc, cells, shape_uu)
 
         # full-gradient stiffness (grad u, grad v), used by certification
         loc = np.zeros((T, 6, 2, 6, 2))
         loc[:, :, 0, :, 0] = gg
         loc[:, :, 1, :, 1] = gg
-        self.K_G = scatter_uu(loc)
+        self.K_G = scatter_blocks(loc, cells, shape_uu)
 
         # divergence coupling (q, div u) and pressure integrals (q, 1)
         bloc = np.einsum("tq,iq,tbqd->tibd", wdet, psi, G).reshape(T, 3, 12)
-        self.B_div = sp.coo_matrix(
-            (bloc.ravel(), (pv_rows, pv_cols)), shape=shape_pu
-        ).tocsr()
-        e = np.zeros(Np)
-        np.add.at(e, space.cell_pdofs.ravel(),
-                  np.einsum("tq,iq->ti", wdet, psi).ravel())
-        self.e_p = e
-        self.area = float((space.detJ * space.qweights.sum()).sum())
+        self.B_div = scatter_blocks(bloc, block_indices(space.cell_pdofs, cd),
+                                    shape_pu)
+        self.e_p = np.bincount(space.cell_pdofs.ravel(),
+                               np.einsum("tq,iq->ti", wdet, psi).ravel(),
+                               minlength=Np)
 
         # slip-boundary blocks
         sl = self.slip = FacetTable(space, space.slip_facets)
@@ -132,14 +123,11 @@ class FormCache:
         self.C_nit = sl.matrix(np.einsum("fab,fc,fd->facbd", ctt, sl.n, sl.n))
         # <q, v.n>
         btt = np.einsum("fq,fiq,fbq->fib", sl.w, space.fpsi[sl.facets], sl.tr)
-        self.B_n = sp.coo_matrix(
-            (np.einsum("fib,fd->fibd", btt, sl.n).ravel(),
-             block_indices(space.cell_pdofs[sl.cells], sl.dofs)),
-            shape=shape_pu,
-        ).tocsr()
+        self.B_n = scatter_blocks(np.einsum("fib,fd->fibd", btt, sl.n),
+                                  block_indices(space.cell_pdofs[sl.cells], sl.dofs),
+                                  shape_pu)
 
         self.G_c = (self.B_div - self.B_n).tocsr()   # paper continuity operator
-        self.G_cT = self.G_c.T.tocsr()
 
         # reference table of the convection Jacobian, weighted by the
         # quadrature weights; columns (a, b), rows: phi_a phi_b (q), then
@@ -152,15 +140,11 @@ class FormCache:
         self.conv_table = np.concatenate(
             [pp.reshape(Q, 36), -dp.reshape(2 * Q, 36), (pd - dp).reshape(2 * Q, 36)]
         )                                                           # (5Q,36)
-        self._patterns = {}
 
-    def pattern(self, mean_pressure_mode: str) -> "JacobianPattern":
-        """The Jacobian sparsity pattern of one mean-pressure mode, built
-        on first use."""
-        if mean_pressure_mode not in self._patterns:
-            self._patterns[mean_pressure_mode] = JacobianPattern(
-                self, mean_pressure_mode)
-        return self._patterns[mean_pressure_mode]
+    @functools.cached_property
+    def pattern(self) -> "JacobianPattern":
+        """The Jacobian sparsity pattern, built on the first Jacobian."""
+        return JacobianPattern(self)
 
 
 class JacobianPattern:
@@ -168,35 +152,28 @@ class JacobianPattern:
 
     The velocity block is the cell connectivity, which holds every entry
     of the linear, slip-facet and convection blocks; the velocity-pressure
-    blocks are the cell couplings, and multiplier mode adds the dense
-    multiplier row and column.  Rows and columns of the fixed DOFs
-    (Dirichlet velocity, and the pinned pressure) are eliminated and never
-    stored; each fixed DOF gets a unit diagonal.  A Jacobian is a `data`
-    array over this pattern; `cell_pos` (T*144) and `slip_pos` (F*144)
-    locate the entries of the (T,12,12) cell and (F,12,12) slip-facet
-    blocks in it, with `nnz` for an eliminated entry.
+    blocks are the cell couplings, plus the dense multiplier row and
+    column.  Rows and columns of the Dirichlet velocity DOFs are
+    eliminated and never stored; each gets a unit diagonal.  A Jacobian
+    is a `data` array over this pattern; `cell_pos` (T*144) and
+    `slip_pos` (F*144) locate the entries of the (T,12,12) cell and
+    (F,12,12) slip-facet blocks in it, with `nnz` for an eliminated
+    entry.
     """
 
-    def __init__(self, cache: FormCache, mean_pressure_mode: str):
+    def __init__(self, cache: FormCache):
         space = cache.space
         Nu, Np = space.n_vdofs, space.n_pdofs
-        multiplier = mean_pressure_mode == "multiplier"
-        n = self.n = Nu + Np + int(multiplier)
+        n = self.n = Nu + Np + 1
         fixed = space.dirichlet_vdofs
-        if not multiplier:
-            fixed = np.append(fixed, Nu)
         self.keep = np.ones(n, dtype=bool)
         self.keep[fixed] = False
 
         cell_rows, cell_cols = block_indices(space.cell_vdofs, space.cell_vdofs)
         pv_rows, pv_cols = block_indices(space.cell_pdofs + Nu, space.cell_vdofs)
-        rows = [cell_rows, pv_rows, pv_cols]
-        cols = [cell_cols, pv_cols, pv_rows]
-        if multiplier:
-            p, m = np.arange(Nu, Nu + Np), np.full(Np, n - 1)
-            rows += [p, m]
-            cols += [m, p]
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        p, m = np.arange(Nu, Nu + Np), np.full(Np, n - 1)
+        rows = np.concatenate([cell_rows, pv_rows, pv_cols, p, m])
+        cols = np.concatenate([cell_cols, pv_cols, pv_rows, m, p])
         live = self.keep[rows] & self.keep[cols]
         # column-major keys sort into CSC order
         keys = np.unique(np.concatenate([cols[live] * n + rows[live],
@@ -208,7 +185,8 @@ class JacobianPattern:
         ).astype(np.int32)
         self.fixed_pos = np.searchsorted(keys, fixed * (n + 1))
         self.cell_pos = self.positions(cell_rows, cell_cols)
-        self.slip_pos = self.positions(cache.slip.rows, cache.slip.cols)
+        self.slip_pos = self.positions(*block_indices(cache.slip.dofs,
+                                                      cache.slip.dofs))
 
     def positions(self, rows, cols) -> np.ndarray:
         """Positions in `data` of the entries (rows, cols), `nnz` where a
@@ -287,6 +265,7 @@ class AssemblyContext:
         self.cache = get_cache(space)
         self.alpha = self._resolve_alpha()
         self._lin = None
+        self._sys = None
         self._jac_const = None
         self._rhs_t = None
         self._g_t = None
@@ -304,8 +283,7 @@ class AssemblyContext:
 
     @property
     def n_sys(self) -> int:
-        extra = 1 if self.config.mean_pressure_mode == "multiplier" else 0
-        return self.space.n_vdofs + self.space.n_pdofs + extra
+        return self.space.n_vdofs + self.space.n_pdofs + 1
 
     def linear_operator(self) -> sp.csr_matrix:
         """Constant part of the velocity-velocity block."""
@@ -319,28 +297,25 @@ class AssemblyContext:
             self._lin = A.tocsr()
         return self._lin
 
-    def jacobian_pattern(self) -> JacobianPattern:
-        """The sparsity pattern every Jacobian of this context has."""
-        return self.cache.pattern(self.config.mean_pressure_mode)
+    def system_operator(self) -> sp.csr_matrix:
+        """Constant part of the whole system on (u, p, m): the linear
+        operator, the continuity coupling -G_c and -G_c^T, and the
+        multiplier row and column e_p."""
+        if self._sys is None:
+            c = self.cache
+            e = sp.csr_matrix(c.e_p[:, None])
+            self._sys = sp.bmat([[self.linear_operator(), -c.G_c.T, None],
+                                 [-c.G_c, None, e],
+                                 [None, e.T, None]], format="csr")
+        return self._sys
 
     def jacobian_constant(self) -> np.ndarray:
         """`data` of the state-independent part of the Jacobian over the
-        pattern: the linear operator, the continuity coupling, the
-        multiplier row and column, and the unit diagonal of fixed DOFs."""
+        pattern: the system operator and the unit diagonal of the
+        Dirichlet DOFs."""
         if self._jac_const is None:
-            space, c, pat = self.space, self.cache, self.jacobian_pattern()
-            Nu, Np = space.n_vdofs, space.n_pdofs
-            lin, g = self.linear_operator().tocoo(), c.G_c.tocoo()
-            rows = [lin.row, g.row + Nu, g.col]
-            cols = [lin.col, g.col, g.row + Nu]
-            vals = [lin.data, -g.data, -g.data]
-            if self.config.mean_pressure_mode == "multiplier":
-                p, m = np.arange(Nu, Nu + Np), np.full(Np, Nu + Np)
-                rows += [p, m]
-                cols += [m, p]
-                vals += [c.e_p, c.e_p]
-            data = pat.gather(pat.positions(np.concatenate(rows), np.concatenate(cols)),
-                              np.concatenate(vals))
+            pat, k = self.cache.pattern, self.system_operator().tocoo()
+            data = pat.gather(pat.positions(k.row, k.col), k.data)
             data[pat.fixed_pos] = 1.0
             self._jac_const = data
         return self._jac_const
@@ -358,6 +333,7 @@ class AssemblyContext:
             raise FormsError(f"time step delta must be > 0, got {delta}")
         self.delta = delta
         self._lin = None
+        self._sys = None
         self._jac_const = None
 
     def force_vector(self) -> np.ndarray:
@@ -392,26 +368,20 @@ class AssemblyContext:
         return self._g_t
 
     def project_dirichlet(self, state: SystemState) -> SystemState:
-        """Impose boundary values on the state (and the pressure pin)."""
+        """Impose boundary values on the state."""
         g = self.dirichlet_values()
         dd = self.space.dirichlet_vdofs
         state.u[dd] = g[dd]
-        if self.config.mean_pressure_mode == "pinned":
-            state.p[0] = 0.0
         return state
 
     # -- vector packing --------------------------------------------------------
 
     def pack(self, state: SystemState) -> np.ndarray:
-        parts = [state.u, state.p]
-        if self.config.mean_pressure_mode == "multiplier":
-            parts.append([state.m])
-        return np.concatenate(parts)
+        return np.concatenate([state.u, state.p, [state.m]])
 
     def unpack(self, x: np.ndarray) -> SystemState:
         Nu, Np = self.space.n_vdofs, self.space.n_pdofs
-        m = x[Nu + Np] if self.config.mean_pressure_mode == "multiplier" else 0.0
-        return SystemState(x[:Nu].copy(), x[Nu:Nu + Np].copy(), float(m))
+        return SystemState(x[:Nu].copy(), x[Nu:Nu + Np].copy(), float(x[Nu + Np]))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +478,10 @@ def assemble_residual(state: SystemState, ctx: AssemblyContext) -> np.ndarray:
     if ctx.delta is not None and ctx.u_old is None:
         raise FormsError("unsteady assembly needs u_old")
 
-    r_u = ctx.linear_operator() @ u
-    r_u -= c.G_cT @ p
+    # the constant part, with the continuity rows (sign flipped for
+    # symmetry) and the mean-pressure row; r_u views the momentum rows
+    r = ctx.system_operator() @ ctx.pack(state)
+    r_u = r[:space.n_vdofs]
     r_u += _slip_residual(ctx, u)
     if ctx.config.include_convection:
         r_u += _convection_residual(space, u)
@@ -521,25 +493,17 @@ def assemble_residual(state: SystemState, ctx: AssemblyContext) -> np.ndarray:
     # Dirichlet rows
     dd = space.dirichlet_vdofs
     r_u[dd] = u[dd] - ctx.dirichlet_values()[dd]
-
-    # continuity rows (sign flipped for symmetry) and mean-pressure control
-    r_p = -(c.G_c @ u)
-    if ctx.config.mean_pressure_mode == "multiplier":
-        r_p = r_p + state.m * c.e_p
-        r_m = c.e_p @ p
-        return np.concatenate([r_u, r_p, [r_m]])
-    r_p[0] = p[0]
-    return np.concatenate([r_u, r_p])
+    return r
 
 
 def assemble_jacobian(state: SystemState, ctx: AssemblyContext) -> sp.csc_matrix:
     """Exact derivative of assemble_residual with symmetric Dirichlet
     elimination (valid for updates vanishing at Dirichlet DOFs).
 
-    Every Jacobian on a space and mean-pressure mode has the same CSC
-    pattern (`AssemblyContext.jacobian_pattern`), explicit zeros included.
+    Every Jacobian on a space has the same CSC pattern
+    (`FormCache.pattern`), explicit zeros included.
     """
-    pat = ctx.jacobian_pattern()
+    pat = ctx.cache.pattern
     data = ctx.jacobian_constant() + pat.gather(pat.slip_pos,
                                                 _slip_jacobian(ctx, state.u))
     if ctx.config.include_convection:
@@ -587,10 +551,10 @@ def trilinear_standard(space: TaylorHoodSpace, u, v, w) -> float:
 
 @dataclasses.dataclass
 class WallProfile:
-    """Per-point arrays on the slip wall, ordered by x."""
+    """Per-point arrays on the slip wall, ordered by x (points of equal x,
+    as on a vertical wall, keep their facet order)."""
 
     x: np.ndarray
-    s: np.ndarray          # arc length along the wall
     u_tau: np.ndarray      # |u_tau|
     sigma: np.ndarray      # |sigma_law(u_tau)|
     un: np.ndarray         # u . n
@@ -608,7 +572,6 @@ def boundary_functionals(state: SystemState, ctx: AssemblyContext,
     order = np.argsort(x, kind="stable")
     return WallProfile(
         x=x[order],
-        s=x[order].copy(),      # top wall: arc length = x
         u_tau=np.linalg.norm(ut, axis=2).ravel()[order],
         sigma=np.linalg.norm(sig, axis=2).ravel()[order],
         un=un.ravel()[order],

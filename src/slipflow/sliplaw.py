@@ -91,6 +91,20 @@ def _mat(a):
     return np.asarray(a)[..., None, None]
 
 
+def _friction_jacobian(v, epsilon, mu):
+    """Derivative of mu v / sqrt(q), q = eps^2 + |v|^2, at fixed mu.
+
+    mu (q^-1/2 I - q^-3/2 v v^T) = mu q^-3/2 (eps^2 I + C(v)) with C(v) =
+    |v|^2 I - v v^T written out, so nothing cancels radially.
+    """
+    q = epsilon**2 + _dot(v, v)
+    C = np.empty(v.shape + (2,))
+    C[..., 0, 0] = v[..., 1] ** 2
+    C[..., 1, 1] = v[..., 0] ** 2
+    C[..., 0, 1] = C[..., 1, 0] = -v[..., 0] * v[..., 1]
+    return _mat(mu * q ** (-1.5)) * (epsilon**2 * _eye(v) + C)
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -212,12 +226,7 @@ def stick_slip_regularized(gamma_star: float, mu_star: float, epsilon: float) ->
 
     def jac(v, t=0.0):
         v = _as_vec(v)
-        q = _mat(_dot(v, v) + epsilon**2)
-        return (
-            gamma_star * _eye(v)
-            + mu_star * q ** (-0.5) * _eye(v)
-            - mu_star * q ** (-1.5) * _outer(v)
-        )
+        return gamma_star * _eye(v) + _friction_jacobian(v, epsilon, mu_star)
 
     def exact(s):
         s = np.asarray(s, dtype=float)
@@ -269,13 +278,7 @@ def fang_regularized(a: float, b: float, beta_exp: float, epsilon: float) -> Sli
         s2 = _dot(v, v)
         s = np.sqrt(s2)
         q = epsilon**2 + s2
-        # q^-1/2 I - q^-3/2 v v^T = q^-3/2 (eps^2 I + C(v)) with C(v) =
-        # |v|^2 I - v v^T written out, so nothing cancels radially
-        C = np.empty(v.shape + (2,))
-        C[..., 0, 0] = v[..., 1] ** 2
-        C[..., 1, 1] = v[..., 0] ** 2
-        C[..., 0, 1] = C[..., 1, 0] = -v[..., 0] * v[..., 1]
-        base = _mat(mu(s) * q ** (-1.5)) * (epsilon**2 * _eye(v) + C)
+        base = _friction_jacobian(v, epsilon, mu(s))
         # derivative of mu(|v|): dmu/dv = mu'(s) v / s for s > 0; at s = 0
         # the outer product vanishes, so any finite divisor serves there
         s_pos = np.where(s > 0.0, s, 1.0)

@@ -24,6 +24,13 @@ from .forms import (
 
 log = logging.getLogger("slipflow.solver")
 
+# backtracking line search: step factor and maximum number of halvings
+LS_RHO = 0.5
+LS_MAX = 8
+# accept a step computed with a reused factorization only if it
+# contracts the residual at least this much; otherwise refactorize
+CHORD_ACCEPT = 0.25
+
 
 class SolverError(Exception):
     """Linear or nonlinear solver failure."""
@@ -47,17 +54,10 @@ class NewtonConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_iter: int = 25
-    ls_rho: float = 0.5
-    ls_max: int = 8
-    # accept a step computed with a reused factorization only if it
-    # contracts the residual at least this much; otherwise refactorize
-    chord_accept: float = 0.25
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ConfigError("Newton tolerances must be > 0")
-        if not 0.0 < self.ls_rho < 1.0:
-            raise ConfigError("line-search factor must lie in (0, 1)")
 
 
 class FactorCache:
@@ -131,7 +131,7 @@ def newton_solve(
             cand = ctx.unpack(ctx.pack(state) + factors.lu.solve(-r))
             rc = assemble_residual(cand, ctx)
             rcn = float(np.linalg.norm(rc))
-            if rcn <= cfg.chord_accept * rnorm or rcn <= tol:
+            if rcn <= CHORD_ACCEPT * rnorm or rcn <= tol:
                 state, rnorm, r = cand, rcn, rc
                 ls_steps.append(0)
                 residuals.append(rnorm)
@@ -148,7 +148,7 @@ def newton_solve(
         x = ctx.pack(state)
         lam = 1.0
         best = None
-        for halving in range(cfg.ls_max + 1):
+        for halving in range(LS_MAX + 1):
             cand = ctx.unpack(x + lam * d)
             rc = assemble_residual(cand, ctx)
             rcn = float(np.linalg.norm(rc))
@@ -156,7 +156,7 @@ def newton_solve(
                 best = (cand, rcn, rc, halving)
             if rcn < rnorm:
                 break
-            lam *= cfg.ls_rho
+            lam *= LS_RHO
         state, rnorm, r, used = best
         ls_steps.append(used)
         residuals.append(rnorm)

@@ -14,7 +14,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import FacetTable, TaylorHoodSpace
+from .fespace import FacetTable, TaylorHoodSpace, block_indices, scatter_blocks
 from .forms import get_cache
 from .sliplaw import SlipLaw
 
@@ -112,16 +112,12 @@ def wall_facets(space: TaylorHoodSpace, walls, tol: float = 1e-12) -> np.ndarray
 # trace constant in the h-norm: |v|_{L2(Gamma)} <= c_trK |v|_{X_h}
 # ---------------------------------------------------------------------------
 
-def trace_constant_xh(space: TaylorHoodSpace, facets=None) -> float:
+def trace_constant_xh(space: TaylorHoodSpace) -> float:
     """Largest eigenvalue of the boundary-mass / X_h-norm pencil on the
-    velocity space with Dirichlet DOFs removed; Gamma defaults to the
-    slip-tagged facets."""
-    if facets is None:
-        facets = space.slip_facets
+    velocity space with Dirichlet DOFs removed, Gamma the slip wall."""
     cache = get_cache(space)
-    bd = FacetTable(space, facets)
-    A_x = cache.K_D + bd.mass(normal=True, per_h=True)
-    M_g = bd.mass()
+    A_x = cache.K_D + cache.P_pen
+    M_g = cache.M_B
     free = np.setdiff1d(np.arange(space.n_vdofs), space.dirichlet_vdofs)
     A_x = A_x[np.ix_(free, free)]
     M_g = M_g[np.ix_(free, free)]
@@ -154,13 +150,9 @@ def infsup_constant(space: TaylorHoodSpace) -> float:
     B = cache.B_div[:, free].tocsc()
 
     # pressure mass
-    wdet = space.qweights[None, :] * space.detJ[:, None]
-    mloc = np.einsum("tq,aq,bq->tab", wdet, space.psi, space.psi)
-    rows = np.repeat(space.cell_pdofs, 3, axis=1).ravel()
-    cols = np.tile(space.cell_pdofs, (1, 3)).ravel()
-    Mp = sp.coo_matrix(
-        (mloc.ravel(), (rows, cols)), shape=(space.n_pdofs, space.n_pdofs)
-    ).tocsr()
+    mloc = np.einsum("tq,aq,bq->tab", space.wdet, space.psi, space.psi)
+    Mp = scatter_blocks(mloc, block_indices(space.cell_pdofs, space.cell_pdofs),
+                        (space.n_pdofs, space.n_pdofs))
 
     try:
         lu = spla.splu(K)

@@ -3,9 +3,9 @@
 The boundary integrals as one-facet (and one-quadrature-point) at a time
 loops, the versions of the vectorized boundary layer in `slipflow.forms`
 and `slipflow.stability`; the cell-quadrature kernels as plain `einsum`
-contractions over physical basis gradients; and the Jacobian as CSR
-arithmetic (block matrix, then S J S elimination).  The package never
-calls them.
+contractions over physical basis gradients; the residual block by
+block; and the Jacobian as CSR arithmetic (block matrix, then S J S
+elimination).  The package never calls them.
 """
 
 import numpy as np
@@ -86,11 +86,11 @@ def slip_jacobian(ctx, u):
 
 
 def boundary_functionals(state, ctx, t=None):
-    """(x, s, |u_tau|, |sigma|, u.n) sorted by x, as plain arrays."""
+    """(x, |u_tau|, |sigma|, u.n) sorted by x, as plain arrays."""
     space = ctx.space
     if t is None:
         t = ctx.t
-    xs, ss, uts, sgs, uns = [], [], [], [], []
+    xs, uts, sgs, uns = [], [], [], []
     for f in space.slip_facets:
         tcell = space.mesh.facet_cells[f]
         n = space.mesh.facet_normals[f]
@@ -103,12 +103,11 @@ def boundary_functionals(state, ctx, t=None):
             vt = v - vn * n
             sig = ctx.law.sigma(vt, t)
             xs.append(space.fpoints[f, q, 0])
-            ss.append(space.fpoints[f, q, 0])
             uts.append(np.linalg.norm(vt))
             sgs.append(np.linalg.norm(sig))
             uns.append(vn)
     order = np.argsort(np.asarray(xs), kind="stable")
-    return tuple(np.asarray(a)[order] for a in (xs, ss, uts, sgs, uns))
+    return tuple(np.asarray(a)[order] for a in (xs, uts, sgs, uns))
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +297,41 @@ def trilinear_skew(space, u, v, w):
     return 0.5 * float(t1 - t2)
 
 
+def residual(state, ctx):
+    """The residual block by block: momentum rows lin u - G_c^T p plus the
+    slip, convection, force and u_old mass terms, continuity rows
+    -G_c u + m e_p, the mean-pressure row e_p^T p, and the Dirichlet rows
+    u - g."""
+    space, c = ctx.space, ctx.cache
+    u, p = state.u, state.p
+    r_u = ctx.linear_operator() @ u - c.G_c.T @ p + slip_residual(ctx, u)
+    if ctx.config.include_convection:
+        r_u += convection_residual(space, u)
+    r_u -= force_vector(ctx)
+    if ctx.delta is not None:
+        r_u -= (c.M_u @ ctx.u_old + ctx.law.beta_star * (c.M_B @ ctx.u_old)) \
+            / ctx.delta
+    g = np.zeros(space.n_vdofs)
+    if callable(ctx.dirichlet):
+        g = np.asarray(ctx.dirichlet(space.vnode_coords, ctx.t), dtype=float).ravel()
+    dd = space.dirichlet_vdofs
+    r_u[dd] = u[dd] - g[dd]
+    return np.concatenate([r_u, -(c.G_c @ u) + state.m * c.e_p, [c.e_p @ p]])
+
+
 def jacobian(state, ctx):
     """The Jacobian as CSR arithmetic: block matrix of the linear
-    operator, the slip and convection blocks and the continuity coupling,
-    then symmetric elimination S J S of the fixed DOFs plus their unit
-    diagonal."""
+    operator, the slip and convection blocks, the continuity coupling and
+    the multiplier row and column, then symmetric elimination S J S of the
+    Dirichlet DOFs plus their unit diagonal."""
     space, c = ctx.space, ctx.cache
     J_uu = ctx.linear_operator() + slip_jacobian(ctx, state.u)
     if ctx.config.include_convection:
         J_uu = J_uu + convection_jacobian(space, state.u)
-    Nu = space.n_vdofs
-    if ctx.config.mean_pressure_mode == "multiplier":
-        e = sp.csr_matrix(c.e_p[:, None])
-        J = sp.bmat([[J_uu, -c.G_c.T, None], [-c.G_c, None, e], [None, e.T, None]],
-                    format="csr")
-    else:
-        J = sp.bmat([[J_uu, -c.G_c.T], [-c.G_c, None]], format="csr")
-    fixed = space.dirichlet_vdofs
-    if ctx.config.mean_pressure_mode == "pinned":
-        fixed = np.concatenate([fixed, [Nu]])
+    e = sp.csr_matrix(c.e_p[:, None])
+    J = sp.bmat([[J_uu, -c.G_c.T, None], [-c.G_c, None, e], [None, e.T, None]],
+                format="csr")
     keep = np.ones(J.shape[0])
-    keep[fixed] = 0.0
+    keep[space.dirichlet_vdofs] = 0.0
     S = sp.diags(keep)
     return ((S @ J @ S) + sp.diags(1.0 - keep)).tocsr()

@@ -87,7 +87,7 @@ def test_boundary_functionals_match_loops(space, rng):
             st = SystemState(u, np.zeros(space.n_pdofs))
             prof = boundary_functionals(st, ctx)
             expect = ref.boundary_functionals(st, ctx)
-            got = (prof.x, prof.s, prof.u_tau, prof.sigma, prof.un)
+            got = (prof.x, prof.u_tau, prof.sigma, prof.un)
             for g, e in zip(got, expect):
                 close(g, e)
 

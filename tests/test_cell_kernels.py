@@ -1,9 +1,9 @@
-"""The matmul cell kernels and the fixed-pattern Jacobian against the
-einsum and CSR-arithmetic references in `loop_reference.py`.
+"""The matmul cell kernels, the system-operator residual and the
+fixed-pattern Jacobian against the einsum, block-by-block and
+CSR-arithmetic references in `loop_reference.py`.
 
 Every comparison is to 1e-13 relative, on top-wall slip and on slip on
-all four walls, in both mean-pressure modes, steady and unsteady, with
-and without convection.
+all four walls, steady and unsteady, with and without convection.
 """
 
 import numpy as np
@@ -18,12 +18,15 @@ from slipflow.forms import (
     _convection_jacobian,
     _convection_residual,
     assemble_jacobian,
+    assemble_residual,
     energy_balance,
     get_cache,
     trilinear_skew,
 )
 from slipflow.mesh import BoundaryTag, build_unit_square, tag_boundary, top_wall_tagger
-from slipflow.sliplaw import fang_regularized, stick_slip_regularized
+from slipflow.sliplaw import (dynamic_moving_wall, fang_regularized,
+                              stick_slip_regularized)
+from slipflow.verify import dirichlet_data, taylor_green
 
 RTOL = 1e-13
 
@@ -35,14 +38,13 @@ def space(request):
     return TaylorHoodSpace(tag_boundary(build_unit_square(5, "crossed"), tagger))
 
 
-def make_ctx(space, mode, steady, convection, rng):
-    law = stick_slip_regularized(0.5, 1.0, 2e-4) if steady else \
-        fang_regularized(1.6, 1.5, 10.0, 2e-4)
+def make_ctx(space, steady, convection, rng, law=None, dirichlet=0.0):
+    if law is None:
+        law = stick_slip_regularized(0.5, 1.0, 2e-4) if steady else \
+            fang_regularized(1.6, 1.5, 10.0, 2e-4)
     return AssemblyContext(
-        space,
-        NitscheConfig(alpha=10.0, mean_pressure_mode=mode,
-                      include_convection=convection),
-        law, dirichlet=0.0, t=0.3,
+        space, NitscheConfig(alpha=10.0, include_convection=convection),
+        law, dirichlet=dirichlet, t=0.3,
         forcing=lambda x, t: np.column_stack([np.sin(3 * x[:, 1]), x[:, 0] ** 2]),
         delta=None if steady else 0.01,
         u_old=None if steady else rng.normal(size=space.n_vdofs),
@@ -69,19 +71,34 @@ def test_convection_kernels_match_einsum(space, rng):
               ref.convection_jacobian(space, u))
 
 
-@pytest.mark.parametrize("mode", ["multiplier", "pinned"])
 @pytest.mark.parametrize("steady", [True, False], ids=["steady", "unsteady"])
 @pytest.mark.parametrize("convection", [True, False], ids=["conv", "noconv"])
-def test_jacobian_matches_csr_arithmetic(space, rng, mode, steady, convection):
-    ctx = make_ctx(space, mode, steady, convection, rng)
+def test_residual_matches_blocks(space, rng, steady, convection):
+    """One system-operator matvec against the block-by-block residual,
+    with the default laws and a moving wall with beta* > 0, and with
+    zero and nonzero Dirichlet data (the Dirichlet columns then carry
+    the boundary values into the other rows)."""
+    for law in (None, dynamic_moving_wall(1.0, 2.0, 0.5)):
+        for g in (0.0, dirichlet_data(taylor_green(1.0))):
+            ctx = make_ctx(space, steady, convection, rng, law=law, dirichlet=g)
+            for scale in (1e-5, 1.0):
+                st = ctx.unpack(scale * rng.normal(size=ctx.n_sys))
+                close(assemble_residual(st, ctx), ref.residual(st, ctx))
+                ctx.project_dirichlet(st)
+                close(assemble_residual(st, ctx), ref.residual(st, ctx))
+
+
+@pytest.mark.parametrize("steady", [True, False], ids=["steady", "unsteady"])
+@pytest.mark.parametrize("convection", [True, False], ids=["conv", "noconv"])
+def test_jacobian_matches_csr_arithmetic(space, rng, steady, convection):
+    ctx = make_ctx(space, steady, convection, rng)
     for scale in (1e-5, 1.0):
         st = random_state(ctx, rng, scale)
         close(assemble_jacobian(st, ctx), ref.jacobian(st, ctx))
 
 
-@pytest.mark.parametrize("mode", ["multiplier", "pinned"])
-def test_jacobian_pattern_is_fixed(space, rng, mode):
-    ctx = make_ctx(space, mode, steady=False, convection=True, rng=rng)
+def test_jacobian_pattern_is_fixed(space, rng):
+    ctx = make_ctx(space, steady=False, convection=True, rng=rng)
     zero = ctx.project_dirichlet(SystemState.zero(space))
     J0 = assemble_jacobian(zero, ctx)
     assert J0.format == "csc" and J0.has_canonical_format
@@ -104,12 +121,12 @@ def test_trilinear_and_force_match_einsum(space, rng):
     for args in ((u, v, w), (u, w, v), (u, v, v), (v, u, u)):
         new, old = trilinear_skew(space, *args), ref.trilinear_skew(space, *args)
         assert abs(new - old) <= RTOL * scale
-    ctx = make_ctx(space, "multiplier", steady=False, convection=True, rng=rng)
+    ctx = make_ctx(space, steady=False, convection=True, rng=rng)
     close(ctx.force_vector(), ref.force_vector(ctx))
 
 
 def test_energy_balance_terms_match_einsum(space, rng):
-    ctx = make_ctx(space, "multiplier", steady=False, convection=True, rng=rng)
+    ctx = make_ctx(space, steady=False, convection=True, rng=rng)
     st = random_state(ctx, rng)
     eb = energy_balance(st, ctx)
     # one field in all three slots: both terms are the same sum and cancel

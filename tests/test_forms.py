@@ -46,8 +46,6 @@ def test_config_validation():
         NitscheConfig(variant="skew")
     with pytest.raises(FormsError):
         NitscheConfig(alpha=-1.0)
-    with pytest.raises(FormsError):
-        NitscheConfig(mean_pressure_mode="none")
 
 
 def test_rest_state_residual_zero(space4):
@@ -295,18 +293,3 @@ def test_energy_balance_antisymmetric_nitsche_term_vanishes(space4, rng):
     ctx.project_dirichlet(st)
     eb = energy_balance(st, ctx)
     assert eb.nitsche == 0.0
-
-
-def test_pinned_pressure_mode(space4, rng):
-    cfg = NitscheConfig(alpha=10.0, mean_pressure_mode="pinned")
-    ctx = AssemblyContext(space4, cfg, navier(1.0), dirichlet=0.0)
-    assert ctx.n_sys == space4.n_vdofs + space4.n_pdofs
-    st = ctx.unpack(rng.normal(size=ctx.n_sys))
-    ctx.project_dirichlet(st)
-    assert st.p[0] == 0.0
-    r = assemble_residual(st, ctx)
-    assert r[space4.n_vdofs] == st.p[0]
-    J = assemble_jacobian(st, ctx)
-    row = J[space4.n_vdofs].toarray().ravel()
-    assert row[space4.n_vdofs] == 1.0
-    assert np.abs(np.delete(row, space4.n_vdofs)).max() == 0.0

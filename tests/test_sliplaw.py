@@ -308,13 +308,22 @@ def _fang_jacobian_longdouble(v, a, b, beta_exp, epsilon):
 @pytest.mark.parametrize("speed", [1.0, 28.0, 1e3])
 def test_fang_jacobian_exact_radially(speed):
     """Entry by entry to 1e-14, the radial entry of an axis-aligned slip
-    included: it is eps^2/|v|^2 smaller than the tangential one."""
-    law = fang_regularized(**PAPER_FANG)
-    for direction in ([1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [-0.28, 0.96]):
-        v = speed * np.array(direction)
-        got = law.jacobian(v)
-        want = _fang_jacobian_longdouble(v, **PAPER_FANG)
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    included: it is eps^2/|v|^2 smaller than the tangential one.  The fang
+    reference with a = b = mu* and beta_exp = 0, plus gamma* I, is the
+    regularized Tresca and stick-slip Jacobian."""
+    eps = PAPER_FANG["epsilon"]
+    cases = [
+        (fang_regularized(**PAPER_FANG), PAPER_FANG, 0.0),
+        (tresca_regularized(1.0, eps), dict(a=1.0, b=1.0, beta_exp=0.0), 0.0),
+        (stick_slip_regularized(2.0, 1.0, eps), dict(a=1.0, b=1.0, beta_exp=0.0), 2.0),
+    ]
+    for law, params, gamma in cases:
+        params = {"epsilon": eps, **params}
+        for direction in ([1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [-0.28, 0.96]):
+            v = speed * np.array(direction)
+            got = law.jacobian(v)
+            want = _fang_jacobian_longdouble(v, **params) + gamma * np.eye(2)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), law.name
 
 
 def test_array_contract_nested_batch():

@@ -79,8 +79,6 @@ def test_newton_max_iter_error(space4):
 def test_newton_config_validation():
     with pytest.raises(ConfigError):
         NewtonConfig(abs_tol=0.0)
-    with pytest.raises(ConfigError):
-        NewtonConfig(ls_rho=1.5)
 
 
 def test_steady_solve_rejects_unsteady_context(space4):
