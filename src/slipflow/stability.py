@@ -2,6 +2,11 @@
 stability: the inverse trace constant, the Korn-with-normal-trace
 eigenvalue, the trace constant in the h-dependent norm, the discrete
 inf-sup constant, and the automatic Nitsche penalty derived from them.
+
+The inverse trace constant is a batch of 6 x 6 eigenproblems.  The other
+three take one extreme eigenvalue of a sparse pencil, at every mesh size,
+from ARPACK's Lanczos (`eigsh`) at one fixed start vector: shift-invert at
+SIGMA for Korn and inf-sup, regular mode for the trace constant.
 """
 
 from __future__ import annotations
@@ -10,13 +15,12 @@ import dataclasses
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import FacetTable, TaylorHoodSpace, block_indices, scatter_blocks
-from .forms import get_cache
-from .sliplaw import SlipLaw
+from .forms import NitscheConfig, get_cache
+from .sliplaw import SlipLaw, navier
 
 
 class StabilityError(Exception):
@@ -32,14 +36,8 @@ class ConstantsReport:
     alpha_auto: float
 
     def as_text(self) -> str:
-        lines = [
-            f"c_tr {self.c_tr:.12g}",
-            f"c_trK {self.c_trK:.12g}",
-            f"korn_min_eig {self.korn_min_eig:.12g}",
-            f"infsup {self.infsup:.12g}",
-            f"alpha_auto {self.alpha_auto:.12g}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} {getattr(self, f.name):.12g}\n"
+                       for f in dataclasses.fields(self))
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +64,31 @@ def inverse_trace_constant(space: TaylorHoodSpace) -> float:
 # Korn with normal traces, as a generalized eigenvalue dichotomy
 # ---------------------------------------------------------------------------
 
-def _smallest_eig(A: sp.spmatrix, M: sp.spmatrix):
-    """Smallest generalized eigenvalue of A x = lam M x with A PSD, M SPD."""
-    n = A.shape[0]
-    if n <= 4000:
-        w, V = sla.eigh(A.toarray(), M.toarray())
-        return float(w[0]), V[:, 0]
-    w, V = spla.eigsh(A.tocsc(), k=1, M=M.tocsc(), sigma=-1e-8, which="LM")
-    return float(w[0]), V[:, 0]
+# Shift-invert shift: both pencils it serves are PSD, so the eigenvalues
+# nearest it are the smallest.  The start vector is seeded, not ones: ones
+# is the constant pressure, the null mode of the inf-sup pencil.
+SIGMA = -1e-8
+
+
+def _eigsh(A, M, k: int, **kw):
+    """k eigenpairs of A x = lam M x by `eigsh`, ascending.  The fixed start
+    vector makes repeated calls agree bit for bit; an ARPACK failure or a
+    non-finite eigenvalue raises StabilityError."""
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, A.shape[0])
+    try:
+        w, V = spla.eigsh(A, k=k, M=M, v0=v0, **kw)
+    except spla.ArpackError as exc:
+        raise StabilityError(f"eigensolver failed: {exc}") from exc
+    if not np.all(np.isfinite(w)):
+        raise StabilityError(f"eigensolver returned {w}")
+    order = np.argsort(w)
+    return w[order], V[:, order]
 
 
 def korn_normal_trace_min_eig(space: TaylorHoodSpace, facets=None):
     """Smallest eigenvalue of (|Dv|^2 + |v.n|^2_Gamma) against the full H1
-    norm over the unconstrained P2 velocity space.
+    norm over the unconstrained P2 velocity space, by shift-invert Lanczos
+    at SIGMA (one sparse LU of A - SIGMA M).
 
     A positive value certifies the discrete Korn inequality with constant
     1/sqrt(eig); zero (a surviving rigid deformation) signals that the
@@ -89,22 +99,19 @@ def korn_normal_trace_min_eig(space: TaylorHoodSpace, facets=None):
     cache = get_cache(space)
     A = cache.K_D + FacetTable(space, facets).mass(normal=True)
     M = cache.K_G + cache.M_u
-    return _smallest_eig(A, M)
+    w, V = _eigsh(A.tocsc(), M.tocsc(), 1, sigma=SIGMA, which="LM")
+    return float(w[0]), V[:, 0]
 
 
 def wall_facets(space: TaylorHoodSpace, walls, tol: float = 1e-12) -> np.ndarray:
     """Boundary facet indices of named unit-square walls
     ('top', 'bottom', 'left', 'right')."""
-    tests = {
-        "top": lambda m: np.abs(m[:, 1] - 1.0) <= tol,
-        "bottom": lambda m: np.abs(m[:, 1]) <= tol,
-        "left": lambda m: np.abs(m[:, 0]) <= tol,
-        "right": lambda m: np.abs(m[:, 0] - 1.0) <= tol,
-    }
+    lines = {"top": (1, 1.0), "bottom": (1, 0.0), "left": (0, 0.0), "right": (0, 1.0)}
     mids = space.mesh.facet_midpoints()
     hit = np.zeros(len(mids), dtype=bool)
     for w in walls:
-        hit |= tests[w](mids)
+        axis, value = lines[w]
+        hit |= np.abs(mids[:, axis] - value) <= tol
     return np.flatnonzero(hit).astype(np.int64)
 
 
@@ -113,19 +120,17 @@ def wall_facets(space: TaylorHoodSpace, walls, tol: float = 1e-12) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def trace_constant_xh(space: TaylorHoodSpace) -> float:
-    """Largest eigenvalue of the boundary-mass / X_h-norm pencil on the
-    velocity space with Dirichlet DOFs removed, Gamma the slip wall."""
+    """Square root of the largest eigenvalue of the boundary-mass / X_h-norm
+    pencil on the velocity space with Dirichlet DOFs removed, Gamma the slip
+    wall, by Lanczos in regular mode with M = A_x; 0 without a slip wall."""
     cache = get_cache(space)
-    A_x = cache.K_D + cache.P_pen
-    M_g = cache.M_B
+    if cache.M_B.nnz == 0:
+        return 0.0
     free = np.setdiff1d(np.arange(space.n_vdofs), space.dirichlet_vdofs)
-    A_x = A_x[np.ix_(free, free)]
-    M_g = M_g[np.ix_(free, free)]
-    if A_x.shape[0] <= 4000:
-        w = sla.eigh(M_g.toarray(), A_x.toarray(), eigvals_only=True)
-        return float(np.sqrt(max(w[-1], 0.0)))
-    w = spla.eigsh(M_g.tocsc(), k=1, M=A_x.tocsc(), which="LA")[0]
-    return float(np.sqrt(max(float(w[0]), 0.0)))
+    A_x = (cache.K_D + cache.P_pen)[np.ix_(free, free)]
+    M_g = cache.M_B[np.ix_(free, free)]
+    w, _ = _eigsh(M_g.tocsc(), A_x.tocsc(), 1, which="LA")
+    return float(np.sqrt(max(w[-1], 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,38 +140,41 @@ def trace_constant_xh(space: TaylorHoodSpace) -> float:
 def infsup_constant(space: TaylorHoodSpace) -> float:
     """Discrete inf-sup constant of the Taylor-Hood pair with homogeneous
     Dirichlet velocity: sqrt of the smallest nonzero eigenvalue of the
-    pressure Schur complement B K^-1 B^T q = lam M_p q, with the constant
-    pressure mode deflated."""
-    cache = get_cache(space)
+    pressure Schur complement S q = B K^-1 B^T q = lam M_p q.
 
+    S is never formed.  Shift-invert Lanczos at SIGMA needs
+    (S - SIGMA M_p)^-1 r, which is the pressure part of the solution of
+    the saddle-point system [[K, B^T], [B, SIGMA M_p]] (u, q) = (0, -r),
+    applied through one sparse LU.  S is PSD, so the two eigenvalues
+    nearest SIGMA are the constant-pressure null mode and beta_h^2."""
+    cache = get_cache(space)
     # interior velocity DOFs: velocity nodes not on the boundary
     bnodes = space.facet_vnodes(np.arange(space.mesh.num_facets))
-    bdofs = np.concatenate([2 * bnodes, 2 * bnodes + 1])
-    free = np.setdiff1d(np.arange(space.n_vdofs), bdofs)
+    free = np.setdiff1d(np.arange(space.n_vdofs),
+                        np.concatenate([2 * bnodes, 2 * bnodes + 1]))
     if free.size == 0:
         raise StabilityError("no interior velocity DOFs (mesh too coarse)")
 
-    K = cache.K_G[np.ix_(free, free)].tocsc()
-    B = cache.B_div[:, free].tocsc()
-
-    # pressure mass
+    K = cache.K_G[np.ix_(free, free)]
+    B = cache.B_div[:, free]
     mloc = np.einsum("tq,aq,bq->tab", space.wdet, space.psi, space.psi)
     Mp = scatter_blocks(mloc, block_indices(space.cell_pdofs, space.cell_pdofs),
-                        (space.n_pdofs, space.n_pdofs))
+                        (space.n_pdofs, space.n_pdofs)).tocsc()
 
     try:
-        lu = spla.splu(K)
+        lu = spla.splu(sp.bmat([[K, B.T], [B, SIGMA * Mp]], format="csc"))
     except RuntimeError as exc:
-        raise StabilityError(f"velocity stiffness is singular: {exc}") from exc
-    Y = lu.solve(B.T.toarray())
-    S = B @ Y                       # dense (Np, Np) Schur complement
-    w = sla.eigh(S, Mp.toarray(), eigvals_only=True)
+        raise StabilityError(f"saddle-point matrix is singular: {exc}") from exc
+    zero = np.zeros(free.size)
+    OPinv = spla.LinearOperator(Mp.shape, dtype=float, matvec=lambda r:
+                                lu.solve(np.concatenate([zero, -r]))[free.size:])
+    # shift-invert mode applies only OPinv and Mp; the first argument is shape
+    w, _ = _eigsh(OPinv, Mp, 2, sigma=SIGMA, which="LM", OPinv=OPinv)
     # the constant pressure lies in the kernel of B^T; deflate it
     if not w[0] <= 1e-10 * max(w[-1], 1.0):
-        raise StabilityError(
-            f"expected a constant-pressure null mode, smallest eig {w[0]:.3e}"
-        )
-    return float(np.sqrt(w[1]))
+        raise StabilityError(f"expected a constant-pressure null mode, "
+                             f"smallest eig {w[0]:.3e}")
+    return float(np.sqrt(max(w[1], 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,39 +191,30 @@ def resolve_alpha(config, law: SlipLaw, c_tr: float,
     if config.alpha != "auto":
         return float(config.alpha)
     lam = law.lam
-    if lam == 0.0:
-        return safety * 2.0 * d * c_tr**2
-    if c_trk is None:
+    if c_trk is None and lam != 0.0:
         raise StabilityError("lambda-monotone laws need the c_trK constant")
+    if lam == 0.0 or c_trk == 0.0:
+        # without a slip wall c_lam is infinite and the bound is monotone
+        return safety * 2.0 * d * c_tr**2
     c_lam = 2.0 * config.nu / c_trk**2
     if lam >= c_lam:
-        raise StabilityError(
-            f"monotonicity defect lambda = {lam:.6g} violates the stability "
-            f"bound lambda < 2 nu / c_trK^2 = {c_lam:.6g}"
-        )
+        raise StabilityError(f"monotonicity defect lambda = {lam:.6g} violates the "
+                             f"stability bound lambda < 2 nu / c_trK^2 = {c_lam:.6g}")
     return safety * 2.0 * (c_lam * d * c_tr**2 + lam) / (c_lam - lam)
 
 
 def constants_report(space: TaylorHoodSpace, config=None, law=None) -> ConstantsReport:
     """Compute every certified constant on one mesh/space."""
-    from .forms import NitscheConfig
-
-    if config is None:
-        config = NitscheConfig(alpha="auto")
+    config = config or NitscheConfig(alpha="auto")
+    law = law or navier(1.0)
     c_tr = inverse_trace_constant(space)
     c_trk = trace_constant_xh(space)
     korn, _ = korn_normal_trace_min_eig(space)
     cs = infsup_constant(space)
-    if law is None:
-        from .sliplaw import navier
-
-        law = navier(1.0)
     try:
-        alpha = resolve_alpha(
-            dataclasses.replace(config, alpha="auto"), law, c_tr, c_trk
-        )
+        alpha = resolve_alpha(dataclasses.replace(config, alpha="auto"), law,
+                              c_tr, c_trk)
     except StabilityError:
         alpha = float("nan")
-    return ConstantsReport(
-        c_tr=c_tr, c_trK=c_trk, korn_min_eig=korn, infsup=cs, alpha_auto=alpha
-    )
+    return ConstantsReport(c_tr=c_tr, c_trK=c_trk, korn_min_eig=korn, infsup=cs,
+                           alpha_auto=alpha)

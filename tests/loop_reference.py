@@ -4,13 +4,18 @@ The boundary integrals as one-facet (and one-quadrature-point) at a time
 loops, the versions of the vectorized boundary layer in `slipflow.forms`
 and `slipflow.stability`; the cell-quadrature kernels as plain `einsum`
 contractions over physical basis gradients; the residual block by
-block; and the Jacobian as CSR arithmetic (block matrix, then S J S
-elimination).  The package never calls them.
+block; the Jacobian as CSR arithmetic (block matrix, then S J S
+elimination); and the Korn, trace and inf-sup constants as dense
+full-spectrum eigensolves.  The package never calls them.
 """
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from slipflow.fespace import FacetTable, block_indices, scatter_blocks
+from slipflow.forms import get_cache
 
 
 def _scatter(space, rows, cols, data, shape=None):
@@ -217,6 +222,52 @@ def inverse_trace_constant(space):
         lam = sla.eigh(hF * MF, MK, eigvals_only=True)[-1]
         worst = max(worst, float(lam))
     return float(np.sqrt(worst))
+
+
+# ---------------------------------------------------------------------------
+# Korn, trace and inf-sup constants as dense full-spectrum eigensolves
+# ---------------------------------------------------------------------------
+
+def korn_normal_trace_min_eig(space, facets=None):
+    """Smallest eigenpair of the full generalized `eigh` of the Korn pencil
+    (K_D + normal-trace mass, K_G + M_u)."""
+    if facets is None:
+        facets = np.arange(space.mesh.num_facets)
+    cache = get_cache(space)
+    A = cache.K_D + FacetTable(space, facets).mass(normal=True)
+    M = cache.K_G + cache.M_u
+    w, V = sla.eigh(A.toarray(), M.toarray())
+    return float(w[0]), V[:, 0]
+
+
+def trace_constant_xh(space):
+    """Square root of the largest eigenvalue of the full generalized `eigh`
+    of the boundary-mass / X_h-norm pencil on the free velocity DOFs."""
+    cache = get_cache(space)
+    free = np.setdiff1d(np.arange(space.n_vdofs), space.dirichlet_vdofs)
+    A_x = (cache.K_D + cache.P_pen)[np.ix_(free, free)]
+    M_g = cache.M_B[np.ix_(free, free)]
+    w = sla.eigh(M_g.toarray(), A_x.toarray(), eigvals_only=True)
+    return float(np.sqrt(max(w[-1], 0.0)))
+
+
+def infsup_constant(space):
+    """Square root of the second eigenvalue of the dense pressure Schur
+    complement B K^-1 B^T q = lam M_p q, formed from one LU solve per
+    pressure DOF."""
+    cache = get_cache(space)
+    bnodes = space.facet_vnodes(np.arange(space.mesh.num_facets))
+    bdofs = np.concatenate([2 * bnodes, 2 * bnodes + 1])
+    free = np.setdiff1d(np.arange(space.n_vdofs), bdofs)
+    K = cache.K_G[np.ix_(free, free)].tocsc()
+    B = cache.B_div[:, free].tocsc()
+    mloc = np.einsum("tq,aq,bq->tab", space.wdet, space.psi, space.psi)
+    Mp = scatter_blocks(mloc, block_indices(space.cell_pdofs, space.cell_pdofs),
+                        (space.n_pdofs, space.n_pdofs))
+    S = B @ spla.splu(K).solve(B.T.toarray())
+    w = sla.eigh(S, Mp.toarray(), eigvals_only=True)
+    assert w[0] <= 1e-10 * max(w[-1], 1.0)
+    return float(np.sqrt(w[1]))
 
 
 # ---------------------------------------------------------------------------

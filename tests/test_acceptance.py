@@ -356,7 +356,6 @@ def test_criterion_10_korn_dichotomy():
 
 # -- 11: inf-sup robustness ---------------------------------------------------------------
 
-@pytest.mark.slow
 def test_criterion_11_infsup_robustness():
     vals = [infsup_constant(make_space(n)) for n in (8, 16, 32)]
     spread = (max(vals) - min(vals)) / max(vals)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import loop_reference as ref
 from slipflow.fespace import TaylorHoodSpace
-from slipflow.forms import NitscheConfig
-from slipflow.mesh import build_unit_square, tag_boundary, top_wall_tagger
+from slipflow.forms import NitscheConfig, get_cache
+from slipflow.mesh import (
+    BoundaryTag, _finish_mesh, build_unit_square, tag_boundary, top_wall_tagger,
+)
 from slipflow.sliplaw import fang_regularized, navier
 from slipflow.stability import (
     StabilityError,
@@ -21,6 +26,28 @@ def make_space(n, diag="right"):
     return TaylorHoodSpace(
         tag_boundary(build_unit_square(n, diag), top_wall_tagger())
     )
+
+
+def no_slip_space(n):
+    return TaylorHoodSpace(
+        tag_boundary(build_unit_square(n), lambda m: BoundaryTag.DIRICHLET)
+    )
+
+
+def translation(space):
+    t = space.interpolate_velocity(
+        lambda x: np.column_stack([np.ones(len(x)), np.zeros(len(x))])
+    )
+    return t / np.linalg.norm(t)
+
+
+def alignment(a, b):
+    return abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+
+@pytest.fixture(scope="module", params=[4, 8, 16])
+def ref_space(request):
+    return make_space(request.param)
 
 
 # -- inverse trace constant ----------------------------------------------------
@@ -69,12 +96,7 @@ def test_korn_top_wall_only_is_singular_with_translation_witness():
     space = make_space(8)
     eig, vec = korn_normal_trace_min_eig(space, wall_facets(space, ["top"]))
     assert abs(eig) <= 1e-10
-    translation = space.interpolate_velocity(
-        lambda x: np.column_stack([np.ones(len(x)), np.zeros(len(x))])
-    )
-    v = vec / np.linalg.norm(vec)
-    w = translation / np.linalg.norm(translation)
-    assert abs(abs(v @ w) - 1.0) <= 1e-6
+    assert abs(alignment(vec, translation(space)) - 1.0) <= 1e-6
 
 
 def test_korn_two_noncollinear_walls_positive():
@@ -93,6 +115,34 @@ def test_korn_scale_invariance():
     assert e16 > 0.5 * e8
 
 
+@pytest.mark.parametrize("walls", [None, ("top", "left")])
+def test_korn_matches_dense_reference(ref_space, walls):
+    facets = None if walls is None else wall_facets(ref_space, walls)
+    eig, vec = korn_normal_trace_min_eig(ref_space, facets)
+    eig_ref, vec_ref = ref.korn_normal_trace_min_eig(ref_space, facets)
+    assert abs(eig - eig_ref) <= 1e-10 * eig_ref
+    assert alignment(vec, vec_ref) >= 1 - 1e-9
+
+
+def test_korn_top_only_matches_dense_reference(ref_space):
+    facets = wall_facets(ref_space, ["top"])
+    eig, vec = korn_normal_trace_min_eig(ref_space, facets)
+    eig_ref, vec_ref = ref.korn_normal_trace_min_eig(ref_space, facets)
+    assert abs(eig) <= 1e-10 and abs(eig_ref) <= 1e-10
+    assert alignment(vec, translation(ref_space)) >= 1 - 1e-9
+    assert alignment(vec, vec_ref) >= 1 - 1e-9
+
+
+def test_trace_constant_xh_matches_dense_reference(ref_space):
+    c, c_ref = trace_constant_xh(ref_space), ref.trace_constant_xh(ref_space)
+    assert abs(c - c_ref) <= 1e-10 * c_ref
+
+
+def test_infsup_matches_dense_reference(ref_space):
+    c, c_ref = infsup_constant(ref_space), ref.infsup_constant(ref_space)
+    assert abs(c - c_ref) <= 1e-10 * c_ref
+
+
 # -- inf-sup ----------------------------------------------------------------------
 
 def test_infsup_positive_and_mesh_robust():
@@ -101,12 +151,71 @@ def test_infsup_positive_and_mesh_robust():
     assert abs(vals[0] - vals[1]) <= 0.2 * max(vals)
 
 
+def test_infsup_spurious_pressure_mode_gives_zero():
+    # at n = 1 (right diagonal) a second pressure mode lies in the kernel of
+    # B^T: beta_h is zero up to rounding, never NaN
+    assert 0.0 <= infsup_constant(make_space(1)) <= 1e-6
+
+
+def test_infsup_singular_velocity_block_raises():
+    # zero the row and column of one interior velocity DOF in K and its
+    # column in B: the saddle-point matrix has a zero row
+    space = make_space(4)
+    cache = get_cache(space)
+    bnodes = space.facet_vnodes(np.arange(space.mesh.num_facets))
+    i = np.setdiff1d(np.arange(space.n_vnodes), bnodes)[0] * 2
+    keep = np.ones(space.n_vdofs)
+    keep[i] = 0.0
+    D = sp.diags(keep)
+    cache.K_G = (D @ cache.K_G @ D).tocsr()
+    cache.B_div = (cache.B_div @ D).tocsr()
+    with pytest.raises(StabilityError, match="singular"):
+        infsup_constant(space)
+
+
+def test_infsup_missing_null_mode_raises():
+    # a generic velocity vector added to one continuity row leaves B^T
+    # without a null vector
+    space = make_space(4)
+    cache = get_cache(space)
+    row = np.zeros((space.n_pdofs, 1))
+    row[0] = 1.0
+    c = np.random.default_rng(3).normal(size=(1, space.n_vdofs))
+    cache.B_div = (cache.B_div + sp.csr_matrix(row @ c)).tocsr()
+    with pytest.raises(StabilityError, match="null mode"):
+        infsup_constant(space)
+
+
+def test_infsup_mesh_too_coarse_raises():
+    # a single triangle has every velocity node on the boundary
+    mesh = _finish_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                        np.array([[0, 1, 2]]))
+    space = TaylorHoodSpace(tag_boundary(mesh, lambda m: BoundaryTag.DIRICHLET))
+    with pytest.raises(StabilityError, match="too coarse"):
+        infsup_constant(space)
+
+
+def test_arpack_failure_is_a_stability_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), None)
+
+    space = make_space(4)
+    monkeypatch.setattr(spla, "eigsh", fail)
+    for constant in (infsup_constant, trace_constant_xh, korn_normal_trace_min_eig):
+        with pytest.raises(StabilityError, match="eigensolver"):
+            constant(space)
+
+
 # -- trace constant in the h-norm --------------------------------------------------
 
 def test_trace_constant_xh_positive():
     space = make_space(8)
     ck = trace_constant_xh(space)
     assert 0 < ck < 10
+
+
+def test_trace_constant_xh_without_slip_wall_is_zero():
+    assert trace_constant_xh(no_slip_space(24)) == 0.0
 
 
 # -- automatic penalty ---------------------------------------------------------------
@@ -132,6 +241,18 @@ def test_resolve_alpha_lambda_near_limit():
     assert np.isfinite(alpha) and alpha > 1e3
 
 
+def test_resolve_alpha_without_slip_wall_is_monotone():
+    # c_trK = 0 makes c_lam infinite: the lambda-monotone bound becomes the
+    # monotone one
+    space = no_slip_space(24)
+    law = navier(-1.0)
+    rep = constants_report(space, NitscheConfig(alpha="auto"), law)
+    assert rep.c_trK == 0.0
+    assert rep.alpha_auto == 1.1 * 2 * 2 * rep.c_tr**2
+    assert resolve_alpha(NitscheConfig(alpha="auto"), law, 3.0, 0.0) == \
+        resolve_alpha(NitscheConfig(alpha="auto"), navier(1.0), 3.0)
+
+
 def test_resolve_alpha_rejects_large_lambda():
     cfg = NitscheConfig(alpha="auto", nu=1.0)
     c_trk = 0.7
@@ -148,3 +269,8 @@ def test_constants_report_fields():
     assert rep.alpha_auto > 0
     text = rep.as_text()
     assert "c_tr" in text and "infsup" in text
+
+
+def test_constants_report_is_deterministic():
+    space = make_space(24)
+    assert constants_report(space) == constants_report(space)
