@@ -33,7 +33,6 @@ from .forms import (
     assemble_residual,
     assemble_jacobian,
     trilinear_skew,
-    trilinear_standard,
     boundary_functionals,
     energy_balance,
 )

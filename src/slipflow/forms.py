@@ -153,12 +153,18 @@ class JacobianPattern:
     The velocity block is the cell connectivity, which holds every entry
     of the linear, slip-facet and convection blocks; the velocity-pressure
     blocks are the cell couplings, plus the dense multiplier row and
-    column.  Rows and columns of the Dirichlet velocity DOFs are
-    eliminated and never stored; each gets a unit diagonal.  A Jacobian
-    is a `data` array over this pattern; `cell_pos` (T*144) and
+    column and one structural (explicitly zero) diagonal slot (k, k) at
+    the last pressure DOF k.  Rows and columns of the Dirichlet velocity
+    DOFs are eliminated and never stored; each gets a unit diagonal.  A
+    Jacobian is a `data` array over this pattern; `cell_pos` (T*144) and
     `slip_pos` (F*144) locate the entries of the (T,12,12) cell and
     (F,12,12) slip-facet blocks in it, with `nnz` for an eliminated
     entry.
+
+    Writing a Jacobian as J = [[A, c], [c^T, 0]], with A its (u, p)
+    block and c = (0, e_p) the multiplier column, `bordered(data)` gives
+    A' = A + e_k e_k^T over the pattern `a_indptr`/`a_indices`: its data
+    is J's data at `a_pos`, plus 1 at `a_kk`.
     """
 
     def __init__(self, cache: FormCache):
@@ -171,9 +177,9 @@ class JacobianPattern:
 
         cell_rows, cell_cols = block_indices(space.cell_vdofs, space.cell_vdofs)
         pv_rows, pv_cols = block_indices(space.cell_pdofs + Nu, space.cell_vdofs)
-        p, m = np.arange(Nu, Nu + Np), np.full(Np, n - 1)
-        rows = np.concatenate([cell_rows, pv_rows, pv_cols, p, m])
-        cols = np.concatenate([cell_cols, pv_cols, pv_rows, m, p])
+        p, m, k = np.arange(Nu, Nu + Np), np.full(Np, n - 1), [n - 2]
+        rows = np.concatenate([cell_rows, pv_rows, pv_cols, p, m, k])
+        cols = np.concatenate([cell_cols, pv_cols, pv_rows, m, p, k])
         live = self.keep[rows] & self.keep[cols]
         # column-major keys sort into CSC order
         keys = np.unique(np.concatenate([cols[live] * n + rows[live],
@@ -187,6 +193,14 @@ class JacobianPattern:
         self.cell_pos = self.positions(cell_rows, cell_cols)
         self.slip_pos = self.positions(*block_indices(cache.slip.dofs,
                                                       cache.slip.dofs))
+        # A': the entries off the last row and column, in the same order
+        a_rows, a_cols = keys % n, keys // n
+        self.a_pos = np.flatnonzero((a_rows < n - 1) & (a_cols < n - 1))
+        self.a_indices = self.indices[self.a_pos]
+        self.a_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(a_cols[self.a_pos], minlength=n - 1))]
+        ).astype(np.int32)
+        self.a_kk = int(np.searchsorted(keys[self.a_pos], (n - 2) * (n + 1)))
 
     def positions(self, rows, cols) -> np.ndarray:
         """Positions in `data` of the entries (rows, cols), `nnz` where a
@@ -208,6 +222,13 @@ class JacobianPattern:
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         return sp.csc_matrix((data, self.indices, self.indptr),
                              shape=(self.n, self.n))
+
+    def bordered(self, data: np.ndarray) -> sp.csc_matrix:
+        """A' = A + e_k e_k^T of the Jacobian with `data`."""
+        a = data[self.a_pos]
+        a[self.a_kk] += 1.0
+        return sp.csc_matrix((a, self.a_indices, self.a_indptr),
+                             shape=(self.n - 1, self.n - 1))
 
 
 def get_cache(space: TaylorHoodSpace) -> FormCache:
@@ -530,19 +551,6 @@ def trilinear_skew(space: TaylorHoodSpace, u, v, w) -> float:
         return np.sum(space.wdet * np.vecdot(adv, other))
 
     return 0.5 * float(term(gv, wv) - term(gw, vv))
-
-
-def trilinear_standard(space: TaylorHoodSpace, u, v, w) -> float:
-    """b(u,v,w) = -(v x u, grad w) + <u.n, v.w>_boundary."""
-    uv, _ = space.velocity_at_quadrature(u)
-    vv, _ = space.velocity_at_quadrature(v)
-    _, gw = space.velocity_at_quadrature(w)
-    wdet = space.qweights[None, :] * space.detJ[:, None]
-    vol = -np.einsum("tq,tqc,tqi,tqci->", wdet, vv, uv, gw)
-    bd = FacetTable(space, np.arange(space.mesh.num_facets))
-    un = bd.split(bd.values(u))[0]
-    bdry = np.sum(bd.w * un * (bd.values(v) * bd.values(w)).sum(axis=2))
-    return float(vol + bdry)
 
 
 # ---------------------------------------------------------------------------

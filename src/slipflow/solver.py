@@ -30,6 +30,10 @@ LS_MAX = 8
 # accept a step computed with a reused factorization only if it
 # contracts the residual at least this much; otherwise refactorize
 CHORD_ACCEPT = 0.25
+# a bordered solve whose residual against the Jacobian exceeds this,
+# relative to the right-hand side, gets one step of iterative
+# refinement; if it still does, the full Jacobian is factorized
+BORDERED_RTOL = 1e-10
 
 
 class SolverError(Exception):
@@ -60,8 +64,24 @@ class NewtonConfig:
             raise ConfigError("Newton tolerances must be > 0")
 
 
+@dataclasses.dataclass
+class NewtonReport:
+    """What one newton_solve call did.  The counts cover this call only,
+    also when its factorization is reused from an earlier call."""
+
+    iterations: int
+    residuals: list
+    ls_steps: list
+    converged: bool
+    factorizations: int = 0     # LU factorizations computed
+    fallbacks: int = 0          # of those, full-Jacobian ones
+    chord_accepted: int = 0     # reused-factorization steps taken
+    chord_rejected: int = 0     # ... and refused
+    lu_fill: int = 0            # stored entries of L and U, summed
+
+
 class FactorCache:
-    """Holds the last LU factorization for reuse across time steps.
+    """Holds the last factorization for reuse across time steps.
 
     Reused factors only ever produce candidate updates; acceptance is
     always judged on the true nonlinear residual, so reuse affects cost,
@@ -69,23 +89,86 @@ class FactorCache:
     """
 
     def __init__(self):
+        self.factor = None
+
+
+def _splu(M, report: NewtonReport):
+    lu = spla.splu(M, permc_spec="COLAMD")
+    report.factorizations += 1
+    report.lu_fill += lu.nnz
+    return lu
+
+
+class _Factor:
+    """LU factors of one Jacobian J = [[A, c], [c^T, 0]] on (u, p, m),
+    with A the (u, p) block and c = (0, e_p) the multiplier column.
+
+    A has the constant pressure z = (0, 1_p) as its right and its left
+    null vector: the continuity rows sum to zero column by column.  So
+    A' = A + e_k e_k^T, for the pressure DOF k of the Jacobian pattern,
+    is regular, and it is factorized instead of J; its LU has no dense
+    row or column.  J (x, m) = (r, s) is then solved exactly with one A'
+    solve (Keller's bordering algorithm):
+    m = sum(r_p) / sum(e_p); A' x' = r - m c; x = x' + theta z with
+    theta = (s - e_p . x'_p) / sum(e_p).
+
+    Every solve is checked against J.  If A' cannot be factorized, or a
+    solve misses BORDERED_RTOL after one refinement step, J itself is
+    factorized and used from then on.
+    """
+
+    def __init__(self, J, ctx: AssemblyContext, report: NewtonReport):
+        space = ctx.space
+        self.J = J
+        self.p = slice(space.n_vdofs, space.n_vdofs + space.n_pdofs)
+        self.e_p = ctx.cache.e_p
+        self.e_sum = float(self.e_p.sum())
+        self.bordered = True
+        try:
+            self.lu = _splu(ctx.cache.pattern.bordered(J.data), report)
+        except RuntimeError:
+            self._fall_back(report)
+
+    def _fall_back(self, report: NewtonReport):
+        self.bordered = False
         self.lu = None
+        try:
+            self.lu = _splu(self.J, report)
+        except RuntimeError as exc:
+            raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+        report.fallbacks += 1
+
+    def _solve_bordered(self, b: np.ndarray) -> np.ndarray:
+        p = self.p
+        m = b[p].sum() / self.e_sum
+        rhs = b[:-1].copy()
+        rhs[p] -= m * self.e_p
+        x = self.lu.solve(rhs)
+        x[p] += (b[-1] - self.e_p @ x[p]) / self.e_sum
+        return np.append(x, m)
+
+    def _accurate(self, x: np.ndarray, b: np.ndarray) -> bool:
+        res = np.linalg.norm(b - self.J @ x)
+        return bool(res <= BORDERED_RTOL * np.linalg.norm(b))
+
+    def solve(self, b: np.ndarray, report: NewtonReport) -> np.ndarray:
+        """J^-1 b; a fallback is counted in `report`."""
+        if not self.bordered:
+            return self.lu.solve(b)
+        x = self._solve_bordered(b)
+        if not self._accurate(x, b):
+            x += self._solve_bordered(b - self.J @ x)
+            if not self._accurate(x, b):
+                self._fall_back(report)
+                return self.lu.solve(b)
+        return x
 
 
-@dataclasses.dataclass
-class NewtonReport:
-    iterations: int
-    residuals: list
-    ls_steps: list
-    converged: bool
-
-
-def _factorize(state, ctx):
+def _factorize(state, ctx, report: NewtonReport, where: str) -> _Factor:
     J = assemble_jacobian(state, ctx)
-    try:
-        return spla.splu(J, permc_spec="COLAMD")
-    except RuntimeError as exc:
-        raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+    if not np.all(np.isfinite(J.data)):
+        raise SolverError(f"{where}: the Jacobian is not finite")
+    return _Factor(J, ctx, report)
 
 
 def newton_solve(
@@ -102,7 +185,9 @@ def newton_solve(
     Newton update vanishes on the constrained DOFs.  When a FactorCache is
     passed (the time marcher does), updates are first tried with the
     cached factorization and the Jacobian is refactorized at the current
-    iterate whenever that fails to contract the true residual.
+    iterate whenever that fails to contract the true residual.  A
+    non-finite Jacobian, or a line search whose every trial has a
+    non-finite residual, raises SolverError.
     """
     state = guess.copy() if guess is not None else SystemState.zero(ctx.space)
     ctx.project_dirichlet(state)
@@ -111,39 +196,41 @@ def newton_solve(
 
     r = assemble_residual(state, ctx)
     rnorm = float(np.linalg.norm(r))
-    residuals = [rnorm]
-    ls_steps = []
+    report = NewtonReport(0, [rnorm], [], False)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
     log.info("step %d iter 0 resid %.6e ls 0", step_label, rnorm)
 
-    it = 0
     while rnorm > tol:
+        it = report.iterations
         if it >= cfg.max_iter:
             raise NewtonError(
                 f"Newton did not converge in {cfg.max_iter} iterations "
                 f"(residual {rnorm:.3e}, tol {tol:.3e})",
                 state=state,
-                report=NewtonReport(it, residuals, ls_steps, False),
+                report=report,
             )
 
         # quasi-Newton attempt with the cached factorization
-        if factors.lu is not None:
-            cand = ctx.unpack(ctx.pack(state) + factors.lu.solve(-r))
+        if factors.factor is not None:
+            cand = ctx.unpack(ctx.pack(state) + factors.factor.solve(-r, report))
             rc = assemble_residual(cand, ctx)
             rcn = float(np.linalg.norm(rc))
             if rcn <= CHORD_ACCEPT * rnorm or rcn <= tol:
                 state, rnorm, r = cand, rcn, rc
-                ls_steps.append(0)
-                residuals.append(rnorm)
-                it += 1
+                report.chord_accepted += 1
+                report.ls_steps.append(0)
+                report.residuals.append(rnorm)
+                report.iterations += 1
                 log.info("step %d iter %d resid %.6e ls 0 (reused)",
-                         step_label, it, rnorm)
+                         step_label, it + 1, rnorm)
                 continue
+            report.chord_rejected += 1
 
         # free the old factors first: two factorizations never coexist
-        factors.lu = lu = None
-        factors.lu = lu = _factorize(state, ctx)
-        d = lu.solve(-r)
+        where = f"step {step_label}, Newton iteration {it + 1}"
+        factors.factor = None
+        factors.factor = _factorize(state, ctx, report, where)
+        d = factors.factor.solve(-r, report)
 
         x = ctx.pack(state)
         lam = 1.0
@@ -152,18 +239,31 @@ def newton_solve(
             cand = ctx.unpack(x + lam * d)
             rc = assemble_residual(cand, ctx)
             rcn = float(np.linalg.norm(rc))
-            if best is None or rcn < best[1]:
+            # a non-finite trial is never taken
+            if np.isfinite(rcn) and (best is None or rcn < best[1]):
                 best = (cand, rcn, rc, halving)
             if rcn < rnorm:
                 break
             lam *= LS_RHO
+        if best is None:
+            raise SolverError(
+                f"{where}: every line-search trial has a non-finite residual")
         state, rnorm, r, used = best
-        ls_steps.append(used)
-        residuals.append(rnorm)
-        it += 1
-        log.info("step %d iter %d resid %.6e ls %d", step_label, it, rnorm, used)
+        report.ls_steps.append(used)
+        report.residuals.append(rnorm)
+        report.iterations += 1
+        log.info("step %d iter %d resid %.6e ls %d", step_label, it + 1,
+                 rnorm, used)
 
-    return state, NewtonReport(it, residuals, ls_steps, True)
+    report.converged = True
+    return state, report
+
+
+def _prefixed(exc: SolverError, prefix: str) -> SolverError:
+    """`exc` with `prefix` put before its message; type and attributes
+    (a NewtonError's state and report) are kept."""
+    exc.args = (f"{prefix}: {exc}",) + exc.args[1:]
+    return exc
 
 
 def steady_solve(
@@ -175,7 +275,8 @@ def steady_solve(
 
     `problem` is either a ready AssemblyContext (solved directly) or a
     factory load -> AssemblyContext walked along `schedule` with warm
-    starts.  Newton failures propagate carrying the failing load value.
+    starts.  A SolverError in the walk propagates with its type, its
+    message prefixed by the failing load value.
     """
     if callable(problem) and not isinstance(problem, AssemblyContext):
         if not schedule:
@@ -187,12 +288,8 @@ def steady_solve(
                 raise ConfigError("steady_solve needs steady contexts (delta=None)")
             try:
                 state, _ = newton_solve(ctx, guess=state, cfg=cfg)
-            except NewtonError as exc:
-                raise NewtonError(
-                    f"continuation failed at load {lam}: {exc}",
-                    state=exc.state,
-                    report=exc.report,
-                ) from exc
+            except SolverError as exc:
+                raise _prefixed(exc, f"continuation failed at load {lam}")
         return state
     if problem.delta is not None:
         raise ConfigError("steady_solve needs a steady context (delta=None)")
@@ -303,12 +400,8 @@ def time_march(
             state, report = newton_solve(
                 ctx, guess=state, cfg=cfg, step_label=j, factors=factors
             )
-        except NewtonError as exc:
-            raise NewtonError(
-                f"time step {j} (t = {t:.6g}) failed: {exc}",
-                state=exc.state,
-                report=exc.report,
-            ) from exc
+        except SolverError as exc:
+            raise _prefixed(exc, f"time step {j} (t = {t:.6g}) failed")
         iters.append(report.iterations)
         energies.append(energy_balance(state, ctx))
         if probe_objs:

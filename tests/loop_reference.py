@@ -5,7 +5,8 @@ loops, the versions of the vectorized boundary layer in `slipflow.forms`
 and `slipflow.stability`; the cell-quadrature kernels as plain `einsum`
 contractions over physical basis gradients; the residual block by
 block; the Jacobian as CSR arithmetic (block matrix, then S J S
-elimination); and the Korn, trace and inf-sup constants as dense
+elimination); the standard trilinear form that the skew form is checked
+against; and the Korn, trace and inf-sup constants as dense
 full-spectrum eigensolves.  The package never calls them.
 """
 
@@ -346,6 +347,20 @@ def trilinear_skew(space, u, v, w):
     t1 = np.einsum("tq,tqi,tqci,tqc->", wdet, uv, gv, wv)
     t2 = np.einsum("tq,tqi,tqci,tqc->", wdet, uv, gw, vv)
     return 0.5 * float(t1 - t2)
+
+
+def trilinear_standard(space, u, v, w):
+    """b(u,v,w) = -(v x u, grad w) + <u.n, v.w>_boundary, the standard
+    form the skew form converges to for divergence-free u."""
+    uv, _ = space.velocity_at_quadrature(u)
+    vv, _ = space.velocity_at_quadrature(v)
+    _, gw = space.velocity_at_quadrature(w)
+    wdet = space.qweights[None, :] * space.detJ[:, None]
+    vol = -np.einsum("tq,tqc,tqi,tqci->", wdet, vv, uv, gw)
+    bd = FacetTable(space, np.arange(space.mesh.num_facets))
+    un = bd.split(bd.values(u))[0]
+    bdry = np.sum(bd.w * un * (bd.values(v) * bd.values(w)).sum(axis=2))
+    return float(vol + bdry)
 
 
 def residual(state, ctx):

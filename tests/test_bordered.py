@@ -1,0 +1,254 @@
+"""The bordered factorization of the Newton Jacobian, its fallback to the
+full Jacobian, the solver's counts and its non-finite guards.
+
+J = [[A, c], [c^T, 0]] on (u, p, m) is solved with one LU of
+A' = A + e_k e_k^T; that rests on the constant pressure being a null
+vector of A, which is checked first.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+
+from test_cell_kernels import make_ctx, random_state
+from slipflow import solver
+from slipflow.fespace import SystemState, TaylorHoodSpace
+from slipflow.forms import AssemblyContext, NitscheConfig, assemble_jacobian
+from slipflow.mesh import BoundaryTag, build_unit_square, tag_boundary, top_wall_tagger
+from slipflow.sliplaw import navier, power_law, stick_slip_regularized
+from slipflow.solver import (NewtonConfig, NewtonError, NewtonReport, SolverError,
+                             newton_solve, steady_solve, time_march)
+from slipflow.verify import dirichlet_data, forcing, taylor_green
+
+CASES = [(steady, conv, g) for steady in (True, False) for conv in (True, False)
+         for g in ("zero", "taylor_green")]
+IDS = [f"{'steady' if s else 'unsteady'}-{'conv' if c else 'noconv'}-{g}"
+       for s, c, g in CASES]
+
+
+@pytest.fixture(scope="module", params=["top", "all"])
+def space(request):
+    tagger = top_wall_tagger() if request.param == "top" else (
+        lambda m: BoundaryTag.SLIP)
+    return TaylorHoodSpace(tag_boundary(build_unit_square(5, "crossed"), tagger))
+
+
+def case_ctx(space, rng, steady, convection, g):
+    g = 0.0 if g == "zero" else dirichlet_data(taylor_green(1.0))
+    return make_ctx(space, steady, convection, rng, dirichlet=g)
+
+
+def stokes_ctx(space):
+    return AssemblyContext(
+        space, NitscheConfig(alpha=10.0, include_convection=False), navier(1.0),
+        forcing=lambda x, t: np.column_stack([np.sin(3 * x[:, 1]), x[:, 0]]),
+        dirichlet=0.0,
+    )
+
+
+@pytest.mark.parametrize("steady,convection,g", CASES, ids=IDS)
+def test_constant_pressure_is_null_vector(space, rng, steady, convection, g):
+    ctx = case_ctx(space, rng, steady, convection, g)
+    c, Nu, Np = ctx.cache, space.n_vdofs, space.n_pdofs
+    free = np.ones(Nu, dtype=bool)
+    free[space.dirichlet_vdofs] = False
+    gt1 = c.G_c.T @ np.ones(Np)
+    assert np.abs(gt1[free]).max() <= 1e-14 * abs(c.G_c).sum(axis=0).max()
+    # the continuity rows of the Jacobian, over the (u, p) columns
+    J = assemble_jacobian(random_state(ctx, rng), ctx).tocsr()
+    rows = J[Nu:Nu + Np, :-1]
+    assert np.abs(rows.sum(axis=0)).max() <= 1e-14 * abs(rows).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("steady,convection,g", CASES, ids=IDS)
+def test_bordered_solve_matches_full_lu(space, rng, steady, convection, g):
+    ctx = case_ctx(space, rng, steady, convection, g)
+    for scale in (1e-5, 1.0):
+        st = random_state(ctx, rng, scale)
+        J = assemble_jacobian(st, ctx)
+        report = NewtonReport(0, [], [], False)
+        factor = solver._Factor(J, ctx, report)
+        full = spla.splu(J, permc_spec="COLAMD")
+        newton = -solver.assemble_residual(st, ctx)
+        for b in (newton, rng.normal(size=J.shape[0])):
+            want = full.solve(b)
+            got = factor.solve(b, report)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert factor.bordered and report.fallbacks == 0
+        assert report.factorizations == 1
+        assert 0 < report.lu_fill < full.nnz
+
+
+def test_bordered_block_gathers_jacobian(space, rng):
+    ctx = case_ctx(space, rng, True, True, "zero")
+    pat = ctx.cache.pattern
+    J = assemble_jacobian(random_state(ctx, rng), ctx)
+    A = pat.bordered(J.data)
+    k = pat.n - 2
+    want = J[:-1, :-1].toarray()
+    want[k, k] += 1.0
+    assert np.array_equal(A.toarray(), want)
+    assert A.has_canonical_format
+
+
+def counting_splu(monkeypatch, space, fail_bordered=0):
+    """Patch splu to keep every factorization it returns; its first
+    `fail_bordered` calls on a bordered block (one row short of J)
+    raise as a singular factor does."""
+    made, fails = [], [fail_bordered]
+    real = spla.splu
+
+    def splu(M, **kwargs):
+        if fails[0] and M.shape[0] == space.n_vdofs + space.n_pdofs:
+            fails[0] -= 1
+            raise RuntimeError("Factor is exactly singular")
+        made.append(real(M, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(solver.spla, "splu", splu)
+    return made
+
+
+def stick_slip_march(space4, monkeypatch):
+    """Five steps of a stick-slip march; returns each step's report and
+    the factorizations made."""
+    reports, real = [], solver.newton_solve
+
+    def newton(*args, **kwargs):
+        state, report = real(*args, **kwargs)
+        reports.append(report)
+        return state, report
+
+    made = counting_splu(monkeypatch, space4)
+    monkeypatch.setattr(solver, "newton_solve", newton)
+    ctx = AssemblyContext(
+        space4, NitscheConfig(alpha=10.0), stick_slip_regularized(0.0, 1.0, 2e-4),
+        forcing=forcing(taylor_green(3.0), 1.0), dirichlet=0.0,
+        delta=0.01, u_old=np.zeros(space4.n_vdofs),
+    )
+    time_march(ctx, SystemState.zero(space4), T=0.05, delta=0.01)
+    monkeypatch.undo()
+    return reports, made
+
+
+def test_report_counts_match_splu(space4, monkeypatch):
+    runs = [stick_slip_march(space4, monkeypatch) for _ in range(2)]
+    for reports, made in runs:
+        assert len(reports) == 5
+        assert sum(r.factorizations for r in reports) == len(made) > 0
+        assert sum(r.lu_fill for r in reports) == sum(lu.nnz for lu in made)
+        assert sum(r.fallbacks for r in reports) == 0
+        assert sum(r.chord_accepted for r in reports) > 0
+        for r in reports:
+            # every iteration took a reused or a fresh factorization
+            assert r.iterations == r.chord_accepted + r.factorizations
+            assert r.chord_rejected <= r.factorizations
+            assert len(r.ls_steps) == r.iterations == len(r.residuals) - 1
+    counts = [[(r.factorizations, r.fallbacks, r.chord_accepted,
+                r.chord_rejected, r.lu_fill) for r in reports]
+              for reports, _ in runs]
+    assert counts[0] == counts[1]
+
+
+def test_fallback_when_bordered_factor_fails(space8, monkeypatch):
+    law = stick_slip_regularized(0.0, 1.0, 2e-4)
+    ctx = AssemblyContext(space8, NitscheConfig(alpha=10.0), law,
+                          forcing=forcing(taylor_green(3.0), 1.0), dirichlet=0.0)
+    want, ref = newton_solve(ctx)
+    made = counting_splu(monkeypatch, space8, fail_bordered=1)
+    got, report = newton_solve(ctx)
+    assert report.converged and report.fallbacks == 1
+    assert report.factorizations == len(made) == ref.factorizations
+    assert report.iterations == ref.iterations
+    assert np.abs(got.u - want.u).max() <= 1e-10 * np.abs(want.u).max()
+    assert np.abs(got.p - want.p).max() <= 1e-10 * np.abs(want.p).max()
+
+
+def test_fallback_when_refinement_fails(space8, monkeypatch):
+    # no solve can meet a zero bound: the first one refines, falls back
+    # to the full Jacobian and keeps it for the rest of the solve
+    ctx = stokes_ctx(space8)
+    want, _ = newton_solve(ctx)
+    monkeypatch.setattr(solver, "BORDERED_RTOL", 0.0)
+    made = counting_splu(monkeypatch, space8)
+    got, report = newton_solve(ctx)
+    assert report.converged and report.iterations == 1
+    assert report.fallbacks == 1 and report.factorizations == len(made) == 2
+    assert made[1].shape == (ctx.n_sys, ctx.n_sys)
+    assert np.abs(got.u - want.u).max() <= 1e-10 * np.abs(want.u).max()
+
+
+# -- non-finite guards and error context ----------------------------------------
+
+def power_law_ctx(space, delta=None):
+    # r < 2: the slip law's Jacobian is NaN at rest
+    return AssemblyContext(
+        space, NitscheConfig(alpha=10.0), power_law(1.0, 1.5),
+        forcing=lambda x, t: np.column_stack([20.0 * x[:, 1], np.zeros(len(x))]),
+        dirichlet=0.0, delta=delta,
+        u_old=None if delta is None else np.zeros(space.n_vdofs),
+    )
+
+
+def test_non_finite_jacobian_is_typed_error(space4):
+    with pytest.raises(SolverError, match="step 3, Newton iteration 1: the "
+                                          "Jacobian is not finite"):
+        newton_solve(power_law_ctx(space4), step_label=3)
+
+
+def test_line_search_skips_non_finite_trial(space8, monkeypatch):
+    # the full step of a linear problem would be exact; its residual is
+    # replaced by NaN, so the half step must be taken, never the NaN one
+    calls, real = [0], solver.assemble_residual
+
+    def residual(state, ctx):
+        calls[0] += 1
+        r = real(state, ctx)
+        return np.full_like(r, np.nan) if calls[0] == 2 else r
+
+    monkeypatch.setattr(solver, "assemble_residual", residual)
+    state, report = newton_solve(stokes_ctx(space8))
+    assert report.converged and report.ls_steps[0] == 1
+    assert np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.p))
+    assert np.isfinite(state.m) and np.all(np.isfinite(report.residuals))
+
+
+def test_line_search_all_non_finite_raises(space8, monkeypatch):
+    calls, real = [0], solver.assemble_residual
+
+    def residual(state, ctx):
+        calls[0] += 1
+        r = real(state, ctx)
+        return r if calls[0] == 1 else np.full_like(r, np.inf)
+
+    monkeypatch.setattr(solver, "assemble_residual", residual)
+    with pytest.raises(SolverError, match="every line-search trial"):
+        newton_solve(stokes_ctx(space8))
+    assert calls[0] == 1 + solver.LS_MAX + 1
+
+
+def test_continuation_error_names_load_and_keeps_type(space4):
+    with pytest.raises(SolverError) as exc:
+        steady_solve(lambda lam: power_law_ctx(space4), [0.5, 1.0])
+    assert type(exc.value) is SolverError
+    assert str(exc.value).startswith("continuation failed at load 0.5: step 0")
+
+    def ctx_at(lam):
+        return AssemblyContext(
+            space4, NitscheConfig(alpha=10.0), navier(1.0), dirichlet=0.0,
+            forcing=lambda x, t: np.column_stack([lam * x[:, 1], x[:, 0]]),
+        )
+
+    with pytest.raises(NewtonError) as exc:
+        steady_solve(ctx_at, [0.5, 1.0],
+                     cfg=NewtonConfig(abs_tol=1e-300, rel_tol=1e-300, max_iter=1))
+    assert str(exc.value).startswith("continuation failed at load 0.5: Newton")
+    assert exc.value.state is not None and exc.value.report.iterations == 1
+
+
+def test_march_error_names_step_and_keeps_type(space4):
+    ctx = power_law_ctx(space4, delta=0.01)
+    with pytest.raises(SolverError) as exc:
+        time_march(ctx, SystemState.zero(space4), T=0.02, delta=0.01)
+    assert type(exc.value) is SolverError
+    assert str(exc.value).startswith("time step 1 (t = 0.01) failed: step 1, ")
