@@ -188,7 +188,8 @@ def _write_cr(outdir: Path, tag: str, prof, law, echo: str) -> None:
 
 
 def _steady(cfg, space, law, lam_star, sol, make_forcing, dirichlet):
-    """Steady solve at amplitude lam_star, ramping on a direct failure."""
+    """Steady solve at amplitude lam_star; if the direct solve raises a
+    SolverError, it is ramped up to lam_star instead."""
 
     def make_ctx(lam):
         s = sol(lam)
@@ -207,7 +208,7 @@ def _steady(cfg, space, law, lam_star, sol, make_forcing, dirichlet):
         )
     try:
         return solver.steady_solve(make_ctx, schedule, cfg=_newton(cfg)), make_ctx(lam_star)
-    except solver.NewtonError:
+    except solver.SolverError:
         if len(schedule) > 1:
             raise
         ramp = list(np.linspace(lam_star / 5.0, lam_star, 5))

@@ -163,8 +163,11 @@ class JacobianPattern:
 
     Writing a Jacobian as J = [[A, c], [c^T, 0]], with A its (u, p)
     block and c = (0, e_p) the multiplier column, `bordered(data)` gives
-    A' = A + e_k e_k^T over the pattern `a_indptr`/`a_indices`: its data
-    is J's data at `a_pos`, plus 1 at `a_kk`.
+    A'[q][:, q] for A' = A + e_k e_k^T and the symmetric order `order`
+    (q) over the pattern `a_indptr`/`a_indices`: its data is J's data at
+    `a_pos`, plus 1 at `a_kk`.  The order is the natural one until the
+    first factorization of A' sets a fill-reducing q with `reorder`; it
+    depends only on the structure, so it holds for every later A'.
     """
 
     def __init__(self, cache: FormCache):
@@ -193,22 +196,37 @@ class JacobianPattern:
         self.cell_pos = self.positions(cell_rows, cell_cols)
         self.slip_pos = self.positions(*block_indices(cache.slip.dofs,
                                                       cache.slip.dofs))
-        # A': the entries off the last row and column, in the same order
-        a_rows, a_cols = keys % n, keys // n
-        self.a_pos = np.flatnonzero((a_rows < n - 1) & (a_cols < n - 1))
-        self.a_indices = self.indices[self.a_pos]
+        self.reorder(None)
+
+    def _keys(self) -> np.ndarray:
+        """Column-major key col * n + row of every stored entry."""
+        n = self.n
+        return np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
+
+    def reorder(self, q: Optional[np.ndarray]) -> None:
+        """Lay A' out as A'[q][:, q] in CSC order (natural for None)."""
+        n = self.n - 1
+        inv = np.arange(n) if q is None else np.argsort(q)
+        keys = self._keys()
+        rows, cols = keys % self.n, keys // self.n
+        pos = np.flatnonzero((rows < n) & (cols < n))
+        a_keys = inv[cols[pos]] * n + inv[rows[pos]]
+        by_key = np.argsort(a_keys)
+        a_keys = a_keys[by_key]
+        self.a_pos = pos[by_key]
+        self.a_indices = (a_keys % n).astype(np.int32)
         self.a_indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(a_cols[self.a_pos], minlength=n - 1))]
+            [[0], np.cumsum(np.bincount(a_keys // n, minlength=n))]
         ).astype(np.int32)
-        self.a_kk = int(np.searchsorted(keys[self.a_pos], (n - 2) * (n + 1)))
+        self.a_kk = int(np.searchsorted(a_keys, inv[n - 1] * (n + 1)))
+        self.order = q
 
     def positions(self, rows, cols) -> np.ndarray:
         """Positions in `data` of the entries (rows, cols), `nnz` where a
         fixed row or column eliminates the entry."""
-        n = self.n
-        keys = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
+        keys = self._keys()
         live = self.keep[rows] & self.keep[cols]
-        want = np.asarray(cols, dtype=np.int64) * n + rows
+        want = np.asarray(cols, dtype=np.int64) * self.n + rows
         pos = np.searchsorted(keys, want)
         if not np.array_equal(keys[np.minimum(pos[live], self.nnz - 1)],
                               want[live]):
@@ -224,7 +242,7 @@ class JacobianPattern:
                              shape=(self.n, self.n))
 
     def bordered(self, data: np.ndarray) -> sp.csc_matrix:
-        """A' = A + e_k e_k^T of the Jacobian with `data`."""
+        """A'[q][:, q] for A' = A + e_k e_k^T of the Jacobian with `data`."""
         a = data[self.a_pos]
         a[self.a_kk] += 1.0
         return sp.csc_matrix((a, self.a_indices, self.a_indptr),
@@ -289,6 +307,7 @@ class AssemblyContext:
         self._sys = None
         self._jac_const = None
         self._rhs_t = None
+        self._hist_t = None
         self._g_t = None
 
     def _resolve_alpha(self) -> float:
@@ -346,6 +365,7 @@ class AssemblyContext:
         self.t = float(t)
         self.u_old = u_old
         self._rhs_t = None
+        self._hist_t = None
         self._g_t = None
 
     def set_timestep(self, delta: Optional[float]) -> None:
@@ -356,6 +376,7 @@ class AssemblyContext:
         self._lin = None
         self._sys = None
         self._jac_const = None
+        self._hist_t = None
 
     def force_vector(self) -> np.ndarray:
         """(f(.,t), v) for all velocity test functions."""
@@ -372,6 +393,15 @@ class AssemblyContext:
                                 minlength=space.n_vdofs)
             self._rhs_t = F
         return self._rhs_t
+
+    def history_vector(self) -> np.ndarray:
+        """(1/delta)[(u_old, v) + beta* <u_old, v>_Gs] for all velocity
+        test functions: the backward Euler history term of the step."""
+        if self._hist_t is None:
+            c = self.cache
+            self._hist_t = (1.0 / self.delta) * (
+                c.M_u @ self.u_old + self.law.beta_star * (c.M_B @ self.u_old))
+        return self._hist_t
 
     def dirichlet_values(self) -> np.ndarray:
         """Full-length vector with boundary values at Dirichlet DOFs."""
@@ -492,7 +522,7 @@ def assemble_residual(state: SystemState, ctx: AssemblyContext) -> np.ndarray:
 
     Dirichlet velocity rows report u_dof - g_D(node, t).
     """
-    space, c = ctx.space, ctx.cache
+    space = ctx.space
     u, p = state.u, state.p
     if u.shape != (space.n_vdofs,) or p.shape != (space.n_pdofs,):
         raise FormsError("state vector lengths do not match the space")
@@ -508,8 +538,7 @@ def assemble_residual(state: SystemState, ctx: AssemblyContext) -> np.ndarray:
         r_u += _convection_residual(space, u)
     r_u -= ctx.force_vector()
     if ctx.delta is not None:
-        r_u -= (1.0 / ctx.delta) * (c.M_u @ ctx.u_old
-                                    + ctx.law.beta_star * (c.M_B @ ctx.u_old))
+        r_u -= ctx.history_vector()
 
     # Dirichlet rows
     dd = space.dirichlet_vdofs

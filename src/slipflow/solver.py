@@ -34,6 +34,11 @@ CHORD_ACCEPT = 0.25
 # relative to the right-hand side, gets one step of iterative
 # refinement; if it still does, the full Jacobian is factorized
 BORDERED_RTOL = 1e-10
+# SuperLU pivot threshold for A': 0 takes every nonzero diagonal pivot
+# of the fill-reducing order (static pivoting).  It gives up growth
+# control; the residual check above and the fallback, which pivots
+# with the default threshold 1, stand in for it.
+BORDERED_PIVOT = 0.0
 
 
 class SolverError(Exception):
@@ -78,6 +83,7 @@ class NewtonReport:
     chord_accepted: int = 0     # reused-factorization steps taken
     chord_rejected: int = 0     # ... and refused
     lu_fill: int = 0            # stored entries of L and U, summed
+    refinements: int = 0        # bordered solves refined once
 
 
 class FactorCache:
@@ -92,8 +98,8 @@ class FactorCache:
         self.factor = None
 
 
-def _splu(M, report: NewtonReport):
-    lu = spla.splu(M, permc_spec="COLAMD")
+def _splu(M, report: NewtonReport, **options):
+    lu = spla.splu(M, **options)
     report.factorizations += 1
     report.lu_fill += lu.nnz
     return lu
@@ -112,38 +118,55 @@ class _Factor:
     m = sum(r_p) / sum(e_p); A' x' = r - m c; x = x' + theta z with
     theta = (s - e_p . x'_p) / sum(e_p).
 
+    A' is factorized with diagonal pivoting (BORDERED_PIVOT) in one
+    symmetric fill-reducing order q, the same for every A' on a space
+    (`JacobianPattern.order`): the first factorization on the pattern
+    takes q from COLAMD, every later one factorizes A'[q][:, q] in its
+    natural order, and A' x = b is solved as x[q] = LU^-1 b[q].
+
     Every solve is checked against J.  If A' cannot be factorized, or a
     solve misses BORDERED_RTOL after one refinement step, J itself is
-    factorized and used from then on.
+    factorized with COLAMD and partial pivoting and used from then on.
     """
 
     def __init__(self, J, ctx: AssemblyContext, report: NewtonReport):
-        space = ctx.space
+        space, pat = ctx.space, ctx.cache.pattern
         self.J = J
         self.p = slice(space.n_vdofs, space.n_vdofs + space.n_pdofs)
         self.e_p = ctx.cache.e_p
         self.e_sum = float(self.e_p.sum())
         self.bordered = True
+        self.q = pat.order
+        permc = "COLAMD" if self.q is None else "NATURAL"
         try:
-            self.lu = _splu(ctx.cache.pattern.bordered(J.data), report)
+            self.lu = _splu(pat.bordered(J.data), report, permc_spec=permc,
+                            diag_pivot_thresh=BORDERED_PIVOT)
         except RuntimeError:
             self._fall_back(report)
+            return
+        if self.q is None:
+            # perm_c depends only on the structure of A'
+            pat.reorder(np.argsort(self.lu.perm_c))
 
     def _fall_back(self, report: NewtonReport):
         self.bordered = False
         self.lu = None
         try:
-            self.lu = _splu(self.J, report)
+            self.lu = _splu(self.J, report, permc_spec="COLAMD")
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
         report.fallbacks += 1
 
     def _solve_bordered(self, b: np.ndarray) -> np.ndarray:
-        p = self.p
+        p, q = self.p, self.q
         m = b[p].sum() / self.e_sum
         rhs = b[:-1].copy()
         rhs[p] -= m * self.e_p
-        x = self.lu.solve(rhs)
+        if q is None:
+            x = self.lu.solve(rhs)
+        else:
+            x = np.empty_like(rhs)
+            x[q] = self.lu.solve(rhs[q])
         x[p] += (b[-1] - self.e_p @ x[p]) / self.e_sum
         return np.append(x, m)
 
@@ -152,11 +175,12 @@ class _Factor:
         return bool(res <= BORDERED_RTOL * np.linalg.norm(b))
 
     def solve(self, b: np.ndarray, report: NewtonReport) -> np.ndarray:
-        """J^-1 b; a fallback is counted in `report`."""
+        """J^-1 b; a refinement or a fallback is counted in `report`."""
         if not self.bordered:
             return self.lu.solve(b)
         x = self._solve_bordered(b)
         if not self._accurate(x, b):
+            report.refinements += 1
             x += self._solve_bordered(b - self.J @ x)
             if not self._accurate(x, b):
                 self._fall_back(report)

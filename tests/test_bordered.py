@@ -1,9 +1,12 @@
-"""The bordered factorization of the Newton Jacobian, its fallback to the
-full Jacobian, the solver's counts and its non-finite guards.
+"""The bordered factorization of the Newton Jacobian, its fixed
+fill-reducing order, its refinement and fallback to the full Jacobian,
+the solver's counts and its non-finite guards.
 
 J = [[A, c], [c^T, 0]] on (u, p, m) is solved with one LU of
 A' = A + e_k e_k^T; that rests on the constant pressure being a null
-vector of A, which is checked first.
+vector of A, which is checked first.  A' is factorized with diagonal
+pivoting in one symmetric order q per Jacobian pattern, taken from the
+first (COLAMD) factorization on the pattern.
 """
 
 import numpy as np
@@ -66,29 +69,134 @@ def test_bordered_solve_matches_full_lu(space, rng, steady, convection, g):
     for scale in (1e-5, 1.0):
         st = random_state(ctx, rng, scale)
         J = assemble_jacobian(st, ctx)
-        report = NewtonReport(0, [], [], False)
-        factor = solver._Factor(J, ctx, report)
         full = spla.splu(J, permc_spec="COLAMD")
         newton = -solver.assemble_residual(st, ctx)
-        for b in (newton, rng.normal(size=J.shape[0])):
-            want = full.solve(b)
-            got = factor.solve(b, report)
-            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-        assert factor.bordered and report.fallbacks == 0
-        assert report.factorizations == 1
-        assert 0 < report.lu_fill < full.nnz
+        # the first factorization on the pattern orders it by COLAMD, a
+        # later one factorizes A'[q][:, q] in that order
+        ctx.cache.pattern.reorder(None)
+        for first in (True, False):
+            report = NewtonReport(0, [], [], False)
+            factor = solver._Factor(J, ctx, report)
+            assert (factor.q is None) == first
+            for b in (newton, rng.normal(size=J.shape[0])):
+                want = full.solve(b)
+                got = factor.solve(b, report)
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            assert factor.bordered and report.fallbacks == report.refinements == 0
+            assert report.factorizations == 1
+            assert 0 < report.lu_fill < full.nnz
+
+
+def bordered_dense(J, pat):
+    """A' = J[:-1, :-1] + e_k e_k^T, dense."""
+    k = pat.n - 2
+    want = J[:-1, :-1].toarray()
+    want[k, k] += 1.0
+    return want
 
 
 def test_bordered_block_gathers_jacobian(space, rng):
     ctx = case_ctx(space, rng, True, True, "zero")
     pat = ctx.cache.pattern
     J = assemble_jacobian(random_state(ctx, rng), ctx)
+    pat.reorder(None)
     A = pat.bordered(J.data)
-    k = pat.n - 2
-    want = J[:-1, :-1].toarray()
-    want[k, k] += 1.0
-    assert np.array_equal(A.toarray(), want)
+    assert np.array_equal(A.toarray(), bordered_dense(J, pat))
     assert A.has_canonical_format
+    solver._Factor(J, ctx, NewtonReport(0, [], [], False))
+    q = pat.order
+    A = pat.bordered(J.data)
+    assert np.array_equal(A.toarray(), bordered_dense(J, pat)[q][:, q])
+    assert A.has_canonical_format
+
+
+def counting_factors(monkeypatch):
+    """Patch splu to record the column order of every factorization."""
+    orders, real = [], spla.splu
+
+    def splu(M, **kwargs):
+        orders.append(kwargs["permc_spec"])
+        return real(M, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", splu)
+    return orders
+
+
+def test_order_is_taken_once_per_pattern(monkeypatch):
+    # a space of its own: its pattern has no order yet
+    space = TaylorHoodSpace(tag_boundary(build_unit_square(4), top_wall_tagger()))
+    steady = stokes_ctx(space)
+    march = AssemblyContext(space, NitscheConfig(alpha=10.0), navier(1.0),
+                            forcing=forcing(taylor_green(1.0), 1.0),
+                            dirichlet=0.0, delta=0.01, u_old=np.zeros(space.n_vdofs))
+    pat = steady.cache.pattern
+    assert march.cache.pattern is pat and pat.order is None
+    orders = counting_factors(monkeypatch)
+    newton_solve(steady)
+    q = pat.order
+    assert np.array_equal(np.sort(q), np.arange(pat.n - 1))
+    newton_solve(march)
+    march.set_timestep(0.02)
+    newton_solve(march, guess=SystemState.zero(space))
+    assert pat.order is q
+    assert orders == ["COLAMD"] + ["NATURAL"] * (len(orders) - 1)
+    assert len(orders) >= 3
+
+
+def tiny_pivot_ctx(rel):
+    """A linear Stokes problem whose Jacobian has the diagonal entry of one
+    tangential velocity DOF i on the slip wall at `rel` times its size
+    without slip, cancelled by an active (negative) Navier friction; and
+    a pattern order that eliminates i first, so its diagonal is the first
+    pivot."""
+    space = TaylorHoodSpace(tag_boundary(build_unit_square(8), top_wall_tagger()))
+
+    def ctx_for(gamma):
+        return AssemblyContext(
+            space, NitscheConfig(alpha=10.0, include_convection=False),
+            navier(gamma), dirichlet=0.0,
+            forcing=lambda x, t: np.column_stack([np.sin(3 * x[:, 1]), x[:, 0]]))
+
+    zero = SystemState.zero(space)
+    d0 = assemble_jacobian(zero, ctx_for(0.0)).diagonal()
+    d1 = assemble_jacobian(zero, ctx_for(1.0)).diagonal() - d0
+    slip = np.flatnonzero(d1[:space.n_vdofs])
+    i = slip[slip.size // 2]
+    ctx = ctx_for(-d0[i] / d1[i] * (1.0 - rel))
+    solver._Factor(assemble_jacobian(zero, ctx), ctx, NewtonReport(0, [], [], False))
+    q = ctx.cache.pattern.order
+    return ctx, i, np.concatenate([[i], q[q != i]])
+
+
+@pytest.mark.parametrize("rel,refinements,fallbacks",
+                         [(1e-10, 1, 0), (1e-12, 1, 1)])
+def test_tiny_pivot_is_refined_or_falls_back(rel, refinements, fallbacks):
+    ctx, i, q = tiny_pivot_ctx(rel)
+    J = assemble_jacobian(SystemState.zero(ctx.space), ctx)
+    assert 0 < abs(J[i, i]) < 10 * rel * abs(J[:, [i]]).max()
+    want, ref = newton_solve(ctx)
+    assert ref.refinements == ref.fallbacks == 0
+    ctx.cache.pattern.reorder(q)
+    got, report = newton_solve(ctx)
+    assert report.converged and report.iterations == ref.iterations == 1
+    assert (report.refinements, report.fallbacks) == (refinements, fallbacks)
+    assert report.factorizations == 1 + fallbacks
+    for a, b in ((got.u, want.u), (got.p, want.p)):
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_convection_dominated_steady_solve():
+    # nu = 2e-3 with a forcing that does not scale with nu: max|u| / nu
+    # is about 650, cell Reynolds numbers where small diagonal pivots are
+    # likely
+    space = TaylorHoodSpace(tag_boundary(build_unit_square(8), top_wall_tagger()))
+    ctx = AssemblyContext(
+        space, NitscheConfig(nu=2e-3, alpha=10.0), navier(1.0), dirichlet=0.0,
+        forcing=lambda x, t: np.column_stack([np.sin(3 * x[:, 1]), x[:, 0]]))
+    state, report = newton_solve(ctx)
+    assert report.converged and report.fallbacks == report.refinements == 0
+    r = solver.assemble_residual(state, ctx)
+    assert np.linalg.norm(r) <= max(1e-10, 1e-10 * report.residuals[0])
 
 
 def counting_splu(monkeypatch, space, fail_bordered=0):
@@ -138,13 +246,14 @@ def test_report_counts_match_splu(space4, monkeypatch):
         assert sum(r.factorizations for r in reports) == len(made) > 0
         assert sum(r.lu_fill for r in reports) == sum(lu.nnz for lu in made)
         assert sum(r.fallbacks for r in reports) == 0
+        assert sum(r.refinements for r in reports) == 0
         assert sum(r.chord_accepted for r in reports) > 0
         for r in reports:
             # every iteration took a reused or a fresh factorization
             assert r.iterations == r.chord_accepted + r.factorizations
             assert r.chord_rejected <= r.factorizations
             assert len(r.ls_steps) == r.iterations == len(r.residuals) - 1
-    counts = [[(r.factorizations, r.fallbacks, r.chord_accepted,
+    counts = [[(r.factorizations, r.fallbacks, r.refinements, r.chord_accepted,
                 r.chord_rejected, r.lu_fill) for r in reports]
               for reports, _ in runs]
     assert counts[0] == counts[1]
@@ -173,7 +282,8 @@ def test_fallback_when_refinement_fails(space8, monkeypatch):
     made = counting_splu(monkeypatch, space8)
     got, report = newton_solve(ctx)
     assert report.converged and report.iterations == 1
-    assert report.fallbacks == 1 and report.factorizations == len(made) == 2
+    assert report.refinements == report.fallbacks == 1
+    assert report.factorizations == len(made) == 2
     assert made[1].shape == (ctx.n_sys, ctx.n_sys)
     assert np.abs(got.u - want.u).max() <= 1e-10 * np.abs(want.u).max()
 

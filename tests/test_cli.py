@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from slipflow import cli
 from slipflow.cli import ExperimentConfig, main, parse_config, run
-from slipflow.solver import ConfigError
+from slipflow.solver import ConfigError, SolverError
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -115,6 +116,43 @@ def test_smooth_experiment_small(tmp_path):
     assert res["max_u_tau"] > 0.1          # genuine slip for Taylor-Green
     header = (out / "cr_scatter_lam1.csv").read_text().splitlines()[1]
     assert header == "u_tau_abs,sigma_abs,sigma_exact_abs"
+
+
+def failing_first_steady_solve(monkeypatch, exc):
+    """Patch the CLI's steady_solve to raise `exc` on its first call;
+    returns the schedules it was called with."""
+    schedules, real = [], cli.solver.steady_solve
+
+    def steady_solve(make_ctx, schedule, cfg):
+        schedules.append(list(schedule))
+        if len(schedules) == 1:
+            raise exc
+        return real(make_ctx, schedule, cfg=cfg)
+
+    monkeypatch.setattr(cli.solver, "steady_solve", steady_solve)
+    return schedules
+
+
+def smooth_config(tmp_path):
+    return ExperimentConfig.from_mapping(
+        {"experiment": "smooth_nonmonotone", "n": 4, "lambdas": [1.0],
+         "outdir": str(tmp_path / "out")})
+
+
+def test_direct_solve_ramps_on_any_solver_error(tmp_path, monkeypatch):
+    schedules = failing_first_steady_solve(
+        monkeypatch, SolverError("every line-search trial has a non-finite residual"))
+    summary = run(smooth_config(tmp_path))
+    assert schedules[0] == [1.0]
+    assert schedules[1] == pytest.approx([0.2, 0.4, 0.6, 0.8, 1.0])
+    assert summary["results"]["lam1"]["max_u_tau"] > 0
+
+
+def test_config_error_in_direct_solve_is_not_ramped(tmp_path, monkeypatch):
+    schedules = failing_first_steady_solve(monkeypatch, ConfigError("bad"))
+    with pytest.raises(ConfigError, match="bad"):
+        run(smooth_config(tmp_path))
+    assert schedules == [[1.0]]
 
 
 def test_stick_slip_experiment_small(tmp_path):

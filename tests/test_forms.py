@@ -80,6 +80,37 @@ def test_unsteady_needs_u_old(space4):
         assemble_residual(SystemState.zero(space4), ctx)
 
 
+def test_history_term_is_cached_per_step(space4, rng):
+    law = dynamic_moving_wall(0.5, 2.0, 0.3)
+    ctx = make_ctx(space4, law, steady=False, rng=rng)
+    c = ctx.cache
+    st = SystemState(rng.normal(size=space4.n_vdofs),
+                     rng.normal(size=space4.n_pdofs), 0.3)
+
+    def history(u_old, delta):
+        # the term as assemble_residual used to compute it on every call
+        return (1.0 / delta) * (c.M_u @ u_old + law.beta_star * (c.M_B @ u_old))
+
+    def fresh_residual():
+        other = AssemblyContext(space4, ctx.config, law, dirichlet=0.0,
+                                delta=ctx.delta, u_old=ctx.u_old, t=ctx.t)
+        return assemble_residual(st, other)
+
+    r = assemble_residual(st, ctx)
+    h = ctx.history_vector()
+    assert ctx.history_vector() is h
+    assert np.array_equal(h, history(ctx.u_old, 0.01))
+    assert np.array_equal(assemble_residual(st, ctx), r)
+    # a new step and a new time step each recompute it
+    ctx.advance(0.51, rng.normal(size=space4.n_vdofs))
+    assert np.array_equal(ctx.history_vector(), history(ctx.u_old, 0.01))
+    assert np.array_equal(assemble_residual(st, ctx), fresh_residual())
+    assert not np.array_equal(assemble_residual(st, ctx), r)
+    ctx.set_timestep(0.02)
+    assert np.array_equal(ctx.history_vector(), history(ctx.u_old, 0.02))
+    assert np.array_equal(assemble_residual(st, ctx), fresh_residual())
+
+
 # -- skew convective form ------------------------------------------------------
 
 def test_skew_symmetry_50_pairs(space4, rng):
