@@ -6,7 +6,8 @@ inf-sup constant, and the automatic Nitsche penalty derived from them.
 The inverse trace constant is a batch of 6 x 6 eigenproblems.  The other
 three take one extreme eigenvalue of a sparse pencil, at every mesh size,
 from ARPACK's Lanczos (`eigsh`) at one fixed start vector: shift-invert at
-SIGMA for Korn and inf-sup, regular mode for the trace constant.
+SIGMA for Korn and inf-sup, regular mode for the trace constant.  The one
+sparse LU each of them needs is made by `_splu`, never by ARPACK.
 """
 
 from __future__ import annotations
@@ -69,6 +70,32 @@ def inverse_trace_constant(space: TaylorHoodSpace) -> float:
 # is the constant pressure, the null mode of the inf-sup pencil.
 SIGMA = -1e-8
 
+# SuperLU's diagonal pivot threshold.  Every matrix factorized here is
+# symmetric: A - SIGMA M and A_x are SPD, and the inf-sup saddle-point
+# matrix is quasi-definite (SIGMA < 0), so the symmetric minimum-degree
+# order on A + A^T with pivots taken on the diagonal factorizes it.  At 0
+# the quasi-definite matrix moves beta_h by about 1e-9 relative; at 0.1
+# off-diagonal pivots blow its fill up about tenfold.
+STAB_PIVOT = 1e-3
+
+
+def _splu(A, what: str):
+    """Sparse LU of the symmetric matrix A in the minimum-degree order on
+    A + A^T, pivoting on the diagonal unless it falls below STAB_PIVOT
+    times the column's largest entry.  A singular A raises
+    StabilityError."""
+    try:
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=STAB_PIVOT,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise StabilityError(f"{what} is singular: {exc}") from exc
+
+
+def _solver(lu) -> spla.LinearOperator:
+    """x -> A^-1 x through the factors `lu` of A."""
+    return spla.LinearOperator(lu.shape, dtype=float, matvec=lu.solve)
+
 
 def _eigsh(A, M, k: int, **kw):
     """k eigenpairs of A x = lam M x by `eigsh`, ascending.  The fixed start
@@ -88,7 +115,7 @@ def _eigsh(A, M, k: int, **kw):
 def korn_normal_trace_min_eig(space: TaylorHoodSpace, facets=None):
     """Smallest eigenvalue of (|Dv|^2 + |v.n|^2_Gamma) against the full H1
     norm over the unconstrained P2 velocity space, by shift-invert Lanczos
-    at SIGMA (one sparse LU of A - SIGMA M).
+    at SIGMA through one `_splu` of A - SIGMA M.
 
     A positive value certifies the discrete Korn inequality with constant
     1/sqrt(eig); zero (a surviving rigid deformation) signals that the
@@ -99,7 +126,8 @@ def korn_normal_trace_min_eig(space: TaylorHoodSpace, facets=None):
     cache = get_cache(space)
     A = cache.K_D + FacetTable(space, facets).mass(normal=True)
     M = cache.K_G + cache.M_u
-    w, V = _eigsh(A.tocsc(), M.tocsc(), 1, sigma=SIGMA, which="LM")
+    lu = _splu(A - SIGMA * M, "Korn matrix A - SIGMA M")
+    w, V = _eigsh(A, M, 1, sigma=SIGMA, which="LM", OPinv=_solver(lu))
     return float(w[0]), V[:, 0]
 
 
@@ -122,14 +150,16 @@ def wall_facets(space: TaylorHoodSpace, walls, tol: float = 1e-12) -> np.ndarray
 def trace_constant_xh(space: TaylorHoodSpace) -> float:
     """Square root of the largest eigenvalue of the boundary-mass / X_h-norm
     pencil on the velocity space with Dirichlet DOFs removed, Gamma the slip
-    wall, by Lanczos in regular mode with M = A_x; 0 without a slip wall."""
+    wall, by Lanczos in regular mode with M = A_x, applied through one
+    `_splu` of A_x; 0 without a slip wall."""
     cache = get_cache(space)
     if cache.M_B.nnz == 0:
         return 0.0
     free = np.setdiff1d(np.arange(space.n_vdofs), space.dirichlet_vdofs)
     A_x = (cache.K_D + cache.P_pen)[np.ix_(free, free)]
     M_g = cache.M_B[np.ix_(free, free)]
-    w, _ = _eigsh(M_g.tocsc(), A_x.tocsc(), 1, which="LA")
+    lu = _splu(A_x, "X_h-norm matrix A_x")
+    w, _ = _eigsh(M_g, A_x, 1, which="LA", Minv=_solver(lu))
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
@@ -145,7 +175,7 @@ def infsup_constant(space: TaylorHoodSpace) -> float:
     S is never formed.  Shift-invert Lanczos at SIGMA needs
     (S - SIGMA M_p)^-1 r, which is the pressure part of the solution of
     the saddle-point system [[K, B^T], [B, SIGMA M_p]] (u, q) = (0, -r),
-    applied through one sparse LU.  S is PSD, so the two eigenvalues
+    applied through one `_splu`.  S is PSD, so the two eigenvalues
     nearest SIGMA are the constant-pressure null mode and beta_h^2."""
     cache = get_cache(space)
     # interior velocity DOFs: velocity nodes not on the boundary
@@ -161,10 +191,7 @@ def infsup_constant(space: TaylorHoodSpace) -> float:
     Mp = scatter_blocks(mloc, block_indices(space.cell_pdofs, space.cell_pdofs),
                         (space.n_pdofs, space.n_pdofs)).tocsc()
 
-    try:
-        lu = spla.splu(sp.bmat([[K, B.T], [B, SIGMA * Mp]], format="csc"))
-    except RuntimeError as exc:
-        raise StabilityError(f"saddle-point matrix is singular: {exc}") from exc
+    lu = _splu(sp.bmat([[K, B.T], [B, SIGMA * Mp]]), "saddle-point matrix")
     zero = np.zeros(free.size)
     OPinv = spla.LinearOperator(Mp.shape, dtype=float, matvec=lambda r:
                                 lu.solve(np.concatenate([zero, -r]))[free.size:])

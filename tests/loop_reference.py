@@ -6,8 +6,10 @@ and `slipflow.stability`; the cell-quadrature kernels as plain `einsum`
 contractions over physical basis gradients; the residual block by
 block; the Jacobian as CSR arithmetic (block matrix, then S J S
 elimination); the standard trilinear form that the skew form is checked
-against; and the Korn, trace and inf-sup constants as dense
-full-spectrum eigensolves.  The package never calls them.
+against; the Korn, trace and inf-sup constants as dense full-spectrum
+eigensolves, and as the earlier `eigsh` calls that left the Korn and
+trace factorizations to ARPACK and factorized the inf-sup matrix in
+COLAMD order with partial pivoting.  The package never calls them.
 """
 
 import numpy as np
@@ -269,6 +271,58 @@ def infsup_constant(space):
     w = sla.eigh(S, Mp.toarray(), eigvals_only=True)
     assert w[0] <= 1e-10 * max(w[-1], 1.0)
     return float(np.sqrt(w[1]))
+
+
+def _eigsh_seeded(A, M, k, **kw):
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, A.shape[0])
+    w, V = spla.eigsh(A, k=k, M=M, v0=v0, **kw)
+    order = np.argsort(w)
+    return w[order], V[:, order]
+
+
+def korn_normal_trace_min_eig_arpack_lu(space, facets=None):
+    """Smallest Korn eigenpair by shift-invert `eigsh` at sigma = -1e-8,
+    with ARPACK's own LU of A - sigma M."""
+    if facets is None:
+        facets = np.arange(space.mesh.num_facets)
+    cache = get_cache(space)
+    A = cache.K_D + FacetTable(space, facets).mass(normal=True)
+    M = cache.K_G + cache.M_u
+    w, V = _eigsh_seeded(A.tocsc(), M.tocsc(), 1, sigma=-1e-8, which="LM")
+    return float(w[0]), V[:, 0]
+
+
+def trace_constant_xh_arpack_lu(space):
+    """Trace constant by regular-mode `eigsh` with M = A_x, with ARPACK's
+    own LU of A_x."""
+    cache = get_cache(space)
+    free = np.setdiff1d(np.arange(space.n_vdofs), space.dirichlet_vdofs)
+    A_x = (cache.K_D + cache.P_pen)[np.ix_(free, free)]
+    M_g = cache.M_B[np.ix_(free, free)]
+    w, _ = _eigsh_seeded(M_g.tocsc(), A_x.tocsc(), 1, which="LA")
+    return float(np.sqrt(max(w[-1], 0.0)))
+
+
+def infsup_constant_colamd(space):
+    """Inf-sup constant by shift-invert `eigsh` at sigma = -1e-8 on the
+    Schur complement, through one LU of the saddle-point matrix in
+    SuperLU's default COLAMD order with partial pivoting."""
+    sigma = -1e-8
+    cache = get_cache(space)
+    bnodes = space.facet_vnodes(np.arange(space.mesh.num_facets))
+    free = np.setdiff1d(np.arange(space.n_vdofs),
+                        np.concatenate([2 * bnodes, 2 * bnodes + 1]))
+    K = cache.K_G[np.ix_(free, free)]
+    B = cache.B_div[:, free]
+    mloc = np.einsum("tq,aq,bq->tab", space.wdet, space.psi, space.psi)
+    Mp = scatter_blocks(mloc, block_indices(space.cell_pdofs, space.cell_pdofs),
+                        (space.n_pdofs, space.n_pdofs)).tocsc()
+    lu = spla.splu(sp.bmat([[K, B.T], [B, sigma * Mp]], format="csc"))
+    zero = np.zeros(free.size)
+    OPinv = spla.LinearOperator(Mp.shape, dtype=float, matvec=lambda r:
+                                lu.solve(np.concatenate([zero, -r]))[free.size:])
+    w, _ = _eigsh_seeded(OPinv, Mp, 2, sigma=sigma, which="LM", OPinv=OPinv)
+    return float(np.sqrt(max(w[1], 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,6 +13,7 @@ from slipflow.mesh import (
 )
 from slipflow.sliplaw import fang_regularized, navier
 from slipflow.stability import (
+    STAB_PIVOT,
     StabilityError,
     constants_report,
     infsup_constant,
@@ -193,6 +196,77 @@ def test_infsup_mesh_too_coarse_raises():
     space = TaylorHoodSpace(tag_boundary(mesh, lambda m: BoundaryTag.DIRICHLET))
     with pytest.raises(StabilityError, match="too coarse"):
         infsup_constant(space)
+
+
+def zero_free_velocity_dof(space, *blocks):
+    """Zero the row and column of one velocity DOF off every boundary in
+    the named FormCache blocks."""
+    cache = get_cache(space)
+    bnodes = space.facet_vnodes(np.arange(space.mesh.num_facets))
+    keep = np.ones(space.n_vdofs)
+    keep[np.setdiff1d(np.arange(space.n_vnodes), bnodes)[0] * 2] = 0.0
+    D = sp.diags(keep)
+    for name in blocks:
+        setattr(cache, name, (D @ getattr(cache, name) @ D).tocsr())
+
+
+def test_trace_constant_singular_xh_matrix_raises():
+    # A_x = K_D + P_pen gets a zero row and column
+    space = make_space(4)
+    zero_free_velocity_dof(space, "K_D", "P_pen")
+    with pytest.raises(StabilityError, match="singular"):
+        trace_constant_xh(space)
+
+
+def test_korn_singular_matrix_raises():
+    # with no facets A - SIGMA M = K_D - SIGMA (K_G + M_u) gets a zero row
+    # and column
+    space = make_space(4)
+    zero_free_velocity_dof(space, "K_D", "K_G", "M_u")
+    with pytest.raises(StabilityError, match="singular"):
+        korn_normal_trace_min_eig(space, [])
+
+
+def test_constants_report_factorizes_once_per_constant(monkeypatch):
+    # every LU goes through spla.splu in the symmetric order; ARPACK's own
+    # LU (used when eigsh is given a matrix to invert) is never reached
+    calls = []
+    splu = spla.splu
+
+    def record(A, **kwargs):
+        calls.append((A.shape[0], kwargs))
+        return splu(A, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ARPACK factorized a matrix itself")
+
+    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+    monkeypatch.setattr(spla, "splu", record)
+    monkeypatch.setattr(arpack, "splu", forbidden)
+    space = make_space(8)
+    constants_report(space)
+    bnodes = space.facet_vnodes(np.arange(space.mesh.num_facets))
+    # trace (free velocity), Korn (all velocity), inf-sup (interior
+    # velocity and pressure), in the order constants_report calls them
+    sizes = [space.n_vdofs - space.dirichlet_vdofs.size, space.n_vdofs,
+             2 * (space.n_vnodes - bnodes.size) + space.n_pdofs]
+    assert [n for n, _ in calls] == sizes
+    assert all(kw == dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=STAB_PIVOT,
+                          options=dict(SymmetricMode=True)) for _, kw in calls)
+
+
+def test_constants_match_arpack_lu_and_colamd_path():
+    # the earlier sparse path: ARPACK's own LU for Korn and trace, COLAMD
+    # with partial pivoting for inf-sup
+    space = make_space(24)
+    eig, vec = korn_normal_trace_min_eig(space)
+    eig_ref, vec_ref = ref.korn_normal_trace_min_eig_arpack_lu(space)
+    assert abs(eig - eig_ref) <= 1e-12 * eig_ref
+    assert alignment(vec, vec_ref) >= 1 - 1e-12
+    c, c_ref = trace_constant_xh(space), ref.trace_constant_xh_arpack_lu(space)
+    assert abs(c - c_ref) <= 1e-12 * c_ref
+    c, c_ref = infsup_constant(space), ref.infsup_constant_colamd(space)
+    assert abs(c - c_ref) <= 1e-12 * c_ref
 
 
 def test_arpack_failure_is_a_stability_error(monkeypatch):
