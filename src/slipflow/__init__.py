@@ -11,7 +11,6 @@ from .mesh import (
     MeshError,
     build_unit_square,
     tag_boundary,
-    facet_geometry,
     top_wall_tagger,
 )
 from .fespace import TaylorHoodSpace, SystemState, ErrorNorms

@@ -135,9 +135,11 @@ def parse_config(path) -> dict:
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _space(cfg: ExperimentConfig) -> fespace.TaylorHoodSpace:
+def _space(cfg: ExperimentConfig, n: int | None = None) -> fespace.TaylorHoodSpace:
+    """The space on the n x n unit square (default cfg.n), slip on the top wall."""
+    n = cfg.n if n is None else n
     msh = mesh.tag_boundary(
-        mesh.build_unit_square(cfg.n, cfg.diagonal), mesh.top_wall_tagger()
+        mesh.build_unit_square(n, cfg.diagonal), mesh.top_wall_tagger()
     )
     return fespace.TaylorHoodSpace(msh)
 
@@ -221,8 +223,8 @@ def _steady(cfg, space, law, lam_star, sol, make_forcing, dirichlet):
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def run_smooth_nonmonotone(cfg: ExperimentConfig, outdir: Path) -> dict:
-    space = _space(cfg)
+def run_smooth_nonmonotone(cfg: ExperimentConfig, outdir: Path,
+                           space: fespace.TaylorHoodSpace) -> dict:
     law = sliplaw.leroux_rajagopal(
         cfg.leroux_a, cfg.leroux_b, cfg.leroux_c, cfg.leroux_theta
     )
@@ -246,8 +248,8 @@ def run_smooth_nonmonotone(cfg: ExperimentConfig, outdir: Path) -> dict:
     return summary
 
 
-def run_nonsmooth_nonmonotone(cfg: ExperimentConfig, outdir: Path) -> dict:
-    space = _space(cfg)
+def run_nonsmooth_nonmonotone(cfg: ExperimentConfig, outdir: Path,
+                              space: fespace.TaylorHoodSpace) -> dict:
     law = sliplaw.fang_regularized(
         cfg.fang_a, cfg.fang_b, cfg.fang_beta_exp, cfg.epsilon
     )
@@ -277,8 +279,8 @@ def run_nonsmooth_nonmonotone(cfg: ExperimentConfig, outdir: Path) -> dict:
     return summary
 
 
-def run_stick_slip(cfg: ExperimentConfig, outdir: Path) -> dict:
-    space = _space(cfg)
+def run_stick_slip(cfg: ExperimentConfig, outdir: Path,
+                   space: fespace.TaylorHoodSpace) -> dict:
     sol = verify.polynomial_jhyw(cfg.lambda_star, time_mode="linear")
     f = verify.forcing(sol, cfg.nu, convection=True)
     summary = {}
@@ -309,8 +311,8 @@ def run_stick_slip(cfg: ExperimentConfig, outdir: Path) -> dict:
     return summary
 
 
-def run_dynamic(cfg: ExperimentConfig, outdir: Path) -> dict:
-    space = _space(cfg)
+def run_dynamic(cfg: ExperimentConfig, outdir: Path,
+                space: fespace.TaylorHoodSpace) -> dict:
     summary = {}
     plot = SvgPlot(title="slip velocity at the probe", xlabel="t",
                    ylabel="|u_tau|")
@@ -353,10 +355,7 @@ def run_convergence(cfg: ExperimentConfig, outdir: Path) -> dict:
     g = verify.slip_correction(sol, law, cfg.nu)
 
     def solve_on(n):
-        msh = mesh.tag_boundary(
-            mesh.build_unit_square(n, cfg.diagonal), mesh.top_wall_tagger()
-        )
-        space = fespace.TaylorHoodSpace(msh)
+        space = _space(cfg, n)
         ctx = forms.AssemblyContext(
             space,
             forms.NitscheConfig(
@@ -372,11 +371,18 @@ def run_convergence(cfg: ExperimentConfig, outdir: Path) -> dict:
         return space, state, sol, cfg.nu, 0.0
 
     res = verify.convergence_study(cfg.convergence_ns, solve_on)
-    res.to_csv(outdir / "convergence.csv", cfg.echo())
+    keys = ("l2_u", "h1_u", "l2_p", "l2_un")
+    # the first level has no rate
+    rates = zip(*([float("nan")] + res.rates[k] for k in keys))
+    _csv(outdir / "convergence.csv",
+         "n,h,err_L2_u,err_H1_u,err_L2_p,err_L2_un,"
+         "rate_L2_u,rate_H1_u,rate_L2_p,rate_L2_un",
+         ((r.n, r.h, r.err_l2_u, r.err_h1_u, r.err_l2_p, r.err_l2_un) + rr
+          for r, rr in zip(res.rows, rates)),
+         cfg.echo())
     plot = SvgPlot(title="convergence (log2)", xlabel="level", ylabel="log2 error")
-    for key, attr in (("l2_u", "err_l2_u"), ("h1_u", "err_h1_u"),
-                      ("l2_p", "err_l2_p"), ("l2_un", "err_l2_un")):
-        vals = [np.log2(getattr(r, attr)) for r in res.rows]
+    for key in keys:
+        vals = [np.log2(getattr(r, f"err_{key}")) for r in res.rows]
         plot.add_line(range(len(vals)), vals, label=key)
     plot.save(outdir / "convergence.svg")
     return {
@@ -389,11 +395,7 @@ def run_constants(cfg: ExperimentConfig, outdir: Path) -> dict:
     rows = []
     last = None
     for n in cfg.constants_ns:
-        msh = mesh.tag_boundary(
-            mesh.build_unit_square(n, cfg.diagonal), mesh.top_wall_tagger()
-        )
-        space = fespace.TaylorHoodSpace(msh)
-        rep = stability.constants_report(space)
+        rep = stability.constants_report(_space(cfg, n))
         rows.append((n, rep.c_tr, rep.c_trK, rep.korn_min_eig, rep.infsup,
                      rep.alpha_auto))
         last = rep
@@ -426,13 +428,13 @@ def run(cfg: ExperimentConfig) -> dict:
     """Run one experiment; returns (and writes) the summary."""
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "experiment": cfg.experiment,
-        "config": dataclasses.asdict(cfg),
-        "results": RUNNERS[cfg.experiment](cfg, outdir),
-    }
-    if cfg.experiment not in ("convergence", "constants"):
+    summary = {"experiment": cfg.experiment, "config": dataclasses.asdict(cfg)}
+    runner = RUNNERS[cfg.experiment]
+    if cfg.experiment in ("convergence", "constants"):
+        summary["results"] = runner(cfg, outdir)
+    else:
         space = _space(cfg)
+        summary["results"] = runner(cfg, outdir, space)
         summary["dofs"] = space.n_vdofs + space.n_pdofs + 1
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

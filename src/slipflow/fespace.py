@@ -1,10 +1,11 @@
 """Taylor-Hood P2/P1 spaces on triangulations.
 
-Reference bases, DOF numbering, quadrature, field evaluation (values,
-gradients, symmetric gradients, traces), per-facet tables of boundary
-facet selections, nodal interpolation and error norms.  Velocity DOFs
-are interleaved (x-component, y-component) per node with nodes ordered
-vertices-then-edge-midpoints; pressure DOFs live on the vertices.
+Reference bases, DOF numbering, quadrature, field evaluation (at the
+quadrature points, and at physical points through one sparse operator),
+per-facet tables of boundary facet selections, nodal interpolation and
+error norms.  Velocity DOFs are interleaved (x-component, y-component)
+per node with nodes ordered vertices-then-edge-midpoints; pressure DOFs
+live on the vertices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import dataclasses
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, BoundaryTag
+from .mesh import GEOM_TOL, BoundaryTag, Mesh, MeshError
 
 
 # ---------------------------------------------------------------------------
@@ -339,54 +340,29 @@ class TaylorHoodSpace:
 
     # -- pointwise evaluation ------------------------------------------------
 
-    def evaluate_velocity(self, u: np.ndarray, cell: int, point):
-        """Value, gradient and symmetric gradient of a velocity field at a
-        reference point of a cell.  grad[i, j] = d u_i / d x_j."""
-        val6, grad6 = p2_basis(np.asarray(point, dtype=float)[None, :])
-        loc = u[self.cell_vdofs[cell]].reshape(6, 2)
-        value = loc.T @ val6[:, 0]
-        gphys = np.einsum("aj,ji->ai", grad6[:, 0, :], self.invJ[cell])
-        grad = loc.T @ gphys                     # (2 comps, 2 derivs)
-        D = 0.5 * (grad + grad.T)
-        return value, grad, D
-
-    def evaluate_pressure(self, p: np.ndarray, cell: int, point) -> float:
-        val3, _ = p1_basis(np.asarray(point, dtype=float)[None, :])
-        return float(p[self.cell_pdofs[cell]] @ val3[:, 0])
-
-    def trace_split(self, u: np.ndarray, facet: int, s: float):
-        """Normal and tangential parts of the velocity trace at arc
-        parameter s in [0,1] along a boundary facet."""
-        sval, sgrad = self.facet_trace(u, facet, np.array([s]))
-        v = sval[0]
-        n = self.mesh.facet_normals[facet]
-        vn = float(v @ n)
-        return vn, v - vn * n
-
-    def facet_trace(self, u: np.ndarray, facet: int, s: np.ndarray):
-        """Velocity values and gradients at points along a boundary facet."""
-        t = self.mesh.facet_cells[facet]
-        val6, grad6 = p2_basis(self._facet_ref_points([facet], s)[0])
-        loc = u[self.cell_vdofs[t]].reshape(6, 2)
-        vals = np.einsum("ac,aq->qc", loc, val6)
-        gphys = np.einsum("aqj,ji->aqi", grad6, self.invJ[t])
-        grads = np.einsum("ac,aqi->qci", loc, gphys)
-        return vals, grads
-
-    def locate_cell(self, x, tol: float = 1e-12) -> int:
-        """Cell containing the physical point x (brute-force scan)."""
-        x = np.asarray(x, dtype=float)
+    def point_operator(self, points) -> sp.csr_matrix:
+        """Sparse (2P, Nu) evaluation matrix E of P physical points:
+        (E u)[2k + c] = u_c(x_k).  Each point is evaluated in the first
+        cell that contains it up to GEOM_TOL in reference coordinates;
+        a point outside the mesh raises MeshError."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        if not np.all(np.isfinite(pts)):
+            raise MeshError(f"points must be finite, got {pts.tolist()}")
         p0 = self.mesh.vertices[self.mesh.cells[:, 0]]
-        xi = np.einsum("tij,tj->ti", self.invJ, x[None, :] - p0)
-        ok = (
-            (xi[:, 0] >= -tol)
-            & (xi[:, 1] >= -tol)
-            & (xi.sum(axis=1) <= 1.0 + tol)
-        )
-        hits = np.flatnonzero(ok)
-        if hits.size == 0:
-            raise ValueError(f"point {x.tolist()} outside the mesh")
-        return int(hits[0])
+        cells = np.empty(len(pts), dtype=np.int64)
+        xi = np.empty_like(pts)
+        for k, x in enumerate(pts):
+            ref = (self.invJ @ (x - p0)[:, :, None])[:, :, 0]       # (T,2)
+            hits = np.flatnonzero((ref >= -GEOM_TOL).all(axis=1)
+                                  & (ref.sum(axis=1) <= 1.0 + GEOM_TOL))
+            if hits.size == 0:
+                raise MeshError(f"point {x.tolist()} outside the mesh")
+            cells[k], xi[k] = hits[0], ref[hits[0]]
+        val = np.repeat(p2_basis(xi)[0].T, 2, axis=1)                 # (P,12)
+        rows = 2 * np.arange(len(pts))[:, None] + np.arange(12) % 2   # (P,12)
+        cols = self.cell_vdofs[cells]
+        return sp.csr_matrix((val.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(2 * len(pts), self.n_vdofs))
 
     # -- bulk evaluation at quadrature points --------------------------------
 

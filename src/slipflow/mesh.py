@@ -77,10 +77,6 @@ class Mesh:
     def num_facets(self) -> int:
         return self.facet_vertices.shape[0]
 
-    def cell_areas(self) -> np.ndarray:
-        p = self.vertices[self.cells]
-        return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-
     def facet_midpoints(self) -> np.ndarray:
         return 0.5 * (
             self.vertices[self.facet_vertices[:, 0]]
@@ -90,17 +86,6 @@ class Mesh:
     def require_tagged(self) -> None:
         if np.any(self.facet_tags == BoundaryTag.UNSET):
             raise MeshError("mesh has untagged boundary facets; run tag_boundary first")
-
-    def dump(self, path) -> None:
-        """Plain-text dump: one line per vertex `v x y`, cell `c i j k`,
-        facet `f i j tag` (for debugging and cross-language comparison)."""
-        with open(path, "w") as fh:
-            for x, y in self.vertices:
-                fh.write(f"v {x:.17g} {y:.17g}\n")
-            for i, j, k in self.cells:
-                fh.write(f"c {i} {j} {k}\n")
-            for (i, j), tag in zip(self.facet_vertices, self.facet_tags):
-                fh.write(f"f {i} {j} {int(tag)}\n")
 
 
 def _finish_mesh(vertices: np.ndarray, cells: np.ndarray) -> Mesh:
@@ -238,25 +223,3 @@ def top_wall_tagger(tol: float = GEOM_TOL):
         return BoundaryTag.SLIP if abs(mid[1] - 1.0) <= tol else BoundaryTag.DIRICHLET
 
     return predicate
-
-
-def facet_geometry(mesh: Mesh, facet: int, ref_points=None):
-    """Outward unit normal, diameter h_F and physical points on a facet.
-
-    `ref_points` are coordinates in [0,1] along the facet (default: the
-    midpoint).  Raises IndexError for indices outside the boundary facet
-    list (interior edges are not addressable).
-    """
-    nf = mesh.num_facets
-    if not -nf <= facet < nf:
-        raise IndexError(
-            f"facet index {facet} outside boundary facet range [0, {nf}); "
-            "interior edges have no facet geometry"
-        )
-    if ref_points is None:
-        ref_points = np.array([0.5])
-    ref_points = np.atleast_1d(np.asarray(ref_points, dtype=float))
-    a = mesh.vertices[mesh.facet_vertices[facet, 0]]
-    b = mesh.vertices[mesh.facet_vertices[facet, 1]]
-    points = a[None, :] + ref_points[:, None] * (b - a)[None, :]
-    return mesh.facet_normals[facet].copy(), float(mesh.facet_h[facet]), points

@@ -322,13 +322,6 @@ def steady_solve(
 
 
 @dataclasses.dataclass
-class Probe:
-    point: np.ndarray
-    cell: int
-    normal: np.ndarray
-
-
-@dataclasses.dataclass
 class Trajectory:
     """Backward Euler run record on the uniform grid t_j = j delta."""
 
@@ -347,33 +340,26 @@ class Trajectory:
         return self.profiles[j]
 
 
-def _setup_probes(ctx: AssemblyContext, points) -> list:
+def _setup_probes(ctx: AssemblyContext, points):
+    """The point operator E of the probe points and one tangential
+    projector I - n n^T per probe, n the normal of the slip facet with
+    the nearest midpoint, or (0, 1) when no facet carries slip."""
     space = ctx.space
-    probes = []
-    for pt in points:
-        pt = np.asarray(pt, dtype=float)
-        cell = space.locate_cell(pt)
-        sl = space.slip_facets
-        if sl.size:
-            mids = space.mesh.facet_midpoints()[sl]
-            f = sl[int(np.argmin(np.linalg.norm(mids - pt[None, :], axis=1)))]
-            normal = space.mesh.facet_normals[f]
-        else:
-            normal = np.array([0.0, 1.0])
-        probes.append(Probe(pt, cell, normal))
-    return probes
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    E = space.point_operator(pts)
+    sl = space.slip_facets
+    if sl.size:
+        mids = space.mesh.facet_midpoints()[sl]
+        near = np.argmin(np.linalg.norm(mids[None] - pts[:, None], axis=2), axis=1)
+        normals = space.mesh.facet_normals[sl[near]]
+    else:
+        normals = np.tile([0.0, 1.0], (len(pts), 1))
+    return E, np.eye(2) - normals[:, :, None] * normals[:, None, :]
 
 
-def _probe_values(ctx: AssemblyContext, state: SystemState, probes) -> np.ndarray:
-    space = ctx.space
-    out = np.empty(len(probes))
-    p0 = space.mesh.vertices[space.mesh.cells[:, 0]]
-    for k, pr in enumerate(probes):
-        xi = space.invJ[pr.cell] @ (pr.point - p0[pr.cell])
-        v, _, _ = space.evaluate_velocity(state.u, pr.cell, xi)
-        vt = v - (v @ pr.normal) * pr.normal
-        out[k] = np.linalg.norm(vt)
-    return out
+def _probe_values(state: SystemState, E, proj) -> np.ndarray:
+    """|u_tau| at every probe: |(I - n n^T) E u|."""
+    return np.linalg.norm(proj @ (E @ state.u).reshape(-1, 2, 1), axis=(1, 2))
 
 
 def time_march(
@@ -389,7 +375,8 @@ def time_march(
 
     T must be an integer multiple of delta (rejected otherwise rather than
     silently truncated).  Each step warm-starts Newton from the previous
-    state; failures abort with the step index.
+    state; failures abort with the step index.  A probe outside the mesh
+    raises MeshError before the first step.
     """
     if delta <= 0:
         raise ConfigError(f"time step delta must be > 0, got {delta}")
@@ -400,7 +387,7 @@ def time_march(
             f"final time {T} is not an integer multiple of delta {delta}"
         )
 
-    probe_objs = _setup_probes(ctx, probes)
+    E, proj = _setup_probes(ctx, probes)
     factors = FactorCache()
     state = u0.copy()
     ctx.set_timestep(delta)
@@ -408,12 +395,11 @@ def time_march(
     ctx.project_dirichlet(state)
 
     times = delta * np.arange(m + 1)
-    series = np.zeros((m + 1, len(probe_objs)))
+    series = np.zeros((m + 1, len(proj)))
     profiles = []
     energies = []
     iters = []
-    if probe_objs:
-        series[0] = _probe_values(ctx, state, probe_objs)
+    series[0] = _probe_values(state, E, proj)
     if record_profiles:
         profiles.append(boundary_functionals(state, ctx, t=0.0))
 
@@ -428,8 +414,7 @@ def time_march(
             raise _prefixed(exc, f"time step {j} (t = {t:.6g}) failed")
         iters.append(report.iterations)
         energies.append(energy_balance(state, ctx))
-        if probe_objs:
-            series[j] = _probe_values(ctx, state, probe_objs)
+        series[j] = _probe_values(state, E, proj)
         if record_profiles:
             profiles.append(boundary_functionals(state, ctx))
 

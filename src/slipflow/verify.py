@@ -246,28 +246,6 @@ class StudyResult:
     rows: list
     rates: dict
 
-    def to_csv(self, path, config_echo: str = "") -> None:
-        cols = ["n", "h", "err_L2_u", "err_H1_u", "err_L2_p", "err_L2_un",
-                "rate_L2_u", "rate_H1_u", "rate_L2_p", "rate_L2_un"]
-        with open(path, "w") as fh:
-            if config_echo:
-                fh.write(f"# config: {config_echo}\n")
-            fh.write(",".join(cols) + "\n")
-            for k, row in enumerate(self.rows):
-                rr = [
-                    self.rates[key][k - 1] if k > 0 else float("nan")
-                    for key in ("l2_u", "h1_u", "l2_p", "l2_un")
-                ]
-                vals = [row.n, row.h, row.err_l2_u, row.err_h1_u,
-                        row.err_l2_p, row.err_l2_un] + rr
-                fh.write(",".join(_fmt(v) for v in vals) + "\n")
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{v:.17g}"
-
 
 def convergence_study(ns, solve_on) -> StudyResult:
     """Run `solve_on(n) -> (space, state, sol, nu, t)` on nested levels and

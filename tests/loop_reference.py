@@ -9,7 +9,9 @@ elimination); the standard trilinear form that the skew form is checked
 against; the Korn, trace and inf-sup constants as dense full-spectrum
 eigensolves, and as the earlier `eigsh` calls that left the Korn and
 trace factorizations to ARPACK and factorized the inf-sup matrix in
-COLAMD order with partial pivoting.  The package never calls them.
+COLAMD order with partial pivoting; the probe values of a time march one
+probe at a time, each in the first cell found by a scan.  The package
+never calls them.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from slipflow.fespace import FacetTable, block_indices, scatter_blocks
+from slipflow.fespace import FacetTable, block_indices, p2_basis, scatter_blocks
 from slipflow.forms import get_cache
 
 
@@ -455,3 +457,30 @@ def jacobian(state, ctx):
     keep[space.dirichlet_vdofs] = 0.0
     S = sp.diags(keep)
     return ((S @ J @ S) + sp.diags(1.0 - keep)).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# probe values of a time march
+# ---------------------------------------------------------------------------
+
+def probe_values(space, u, points):
+    """|u_tau| at each point, in the first cell whose reference coordinates
+    hold it up to 1e-12, with the normal of the slip facet whose midpoint
+    is nearest (or (0, 1) without slip facets)."""
+    mesh = space.mesh
+    p0 = mesh.vertices[mesh.cells[:, 0]]
+    mids = mesh.facet_midpoints()
+    out = []
+    for x in np.asarray(points, dtype=float):
+        for cell in range(mesh.num_cells):
+            xi = space.invJ[cell] @ (x - p0[cell])
+            if xi[0] >= -1e-12 and xi[1] >= -1e-12 and xi.sum() <= 1.0 + 1e-12:
+                break
+        v = u[space.cell_vdofs[cell]].reshape(6, 2).T @ p2_basis(xi[None])[0][:, 0]
+        n = np.array([0.0, 1.0])
+        if space.slip_facets.size:
+            best = min(space.slip_facets, key=lambda f: np.linalg.norm(mids[f] - x))
+            n = mesh.facet_normals[best]
+        out.append(np.linalg.norm(v - (v @ n) * n))
+    return np.array(out)
+

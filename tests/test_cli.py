@@ -199,3 +199,43 @@ def test_csv_config_echo_is_valid_json(tmp_path):
     first = (tmp_path / "out" / "probe_beta0.csv").read_text().splitlines()[0]
     echoed = json.loads(first[len("# config: "):])
     assert echoed["n"] == 6
+
+
+def test_probe_outside_the_mesh_is_a_configuration_error(tmp_path, capsys):
+    cfgp = write_config(
+        tmp_path,
+        {"experiment": "dynamic", "n": 2, "T": 0.01, "delta": 0.005,
+         "beta_stars": [0.0], "probe_x": 2.0, "outdir": str(tmp_path / "out")},
+    )
+    assert main(["solve", str(cfgp)]) == 3
+    assert "outside the mesh" in capsys.readouterr().err
+
+
+def test_summary_dofs_count_the_whole_system(tmp_path):
+    cfg = ExperimentConfig.from_mapping(
+        {"experiment": "dynamic", "n": 3, "T": 0.01, "beta_stars": [0.0],
+         "outdir": str(tmp_path / "out")}
+    )
+    summary = run(cfg)
+    # n = 3: 16 vertices and 33 edges carry 2 * 49 velocity dofs, the
+    # vertices 16 pressure dofs, plus the mean-pressure multiplier
+    assert summary["dofs"] == 2 * 49 + 16 + 1
+    written = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert written["dofs"] == summary["dofs"]
+
+
+def test_convergence_csv_reads_back(tmp_path):
+    cfg = ExperimentConfig.from_mapping(
+        {"experiment": "convergence", "convergence_ns": [2, 4, 8],
+         "outdir": str(tmp_path / "out")}
+    )
+    summary = run(cfg)
+    lines = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
+    assert json.loads(lines[0][len("# config: "):])["convergence_ns"] == [2, 4, 8]
+    assert lines[1] == ("n,h,err_L2_u,err_H1_u,err_L2_p,err_L2_un,"
+                        "rate_L2_u,rate_H1_u,rate_L2_p,rate_L2_un")
+    rows = [line.split(",") for line in lines[2:]]
+    assert [row[0] for row in rows] == ["2", "4", "8"]
+    assert rows[0][6:] == ["nan"] * 4
+    assert float(rows[2][6]) == summary["results"]["rates"]["l2_u"][1]
+    assert float(rows[1][2]) == summary["results"]["errors"][1]["err_l2_u"]

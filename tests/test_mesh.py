@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
+from slipflow.fespace import TaylorHoodSpace
 from slipflow.mesh import (
     BoundaryTag,
     MeshError,
     build_unit_square,
-    facet_geometry,
     tag_boundary,
     top_wall_tagger,
 )
+
+
+def signed_areas(m):
+    p = m.vertices[m.cells]
+    a, b = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
 
 
 def test_smallest_structured_mesh():
@@ -51,9 +57,9 @@ def test_bad_input():
 @pytest.mark.parametrize("n,diag", [(1, "right"), (5, "right"), (3, "crossed")])
 def test_areas_and_perimeter(n, diag):
     m = build_unit_square(n, diag)
-    assert abs(m.cell_areas().sum() - 1.0) <= 1e-12
+    assert abs(signed_areas(m).sum() - 1.0) <= 1e-12
     assert abs(m.facet_h.sum() - 4.0) <= 1e-12
-    assert np.all(m.cell_areas() > 0)
+    assert np.all(signed_areas(m) > 0)
 
 
 def test_normals_unit_and_outward():
@@ -69,8 +75,7 @@ def test_normals_unit_and_outward():
 def test_axis_wall_normals():
     m = tag_boundary(build_unit_square(4), top_wall_tagger())
     mids = m.facet_midpoints()
-    for f, mid in enumerate(mids):
-        n, hF, pts = facet_geometry(m, f)
+    for n, hF, mid in zip(m.facet_normals, m.facet_h, mids):
         if abs(mid[1] - 1.0) <= 1e-12:
             assert np.allclose(n, [0.0, 1.0])
         elif abs(mid[0]) <= 1e-12:
@@ -86,16 +91,14 @@ def test_facet_h_is_edge_length():
 
 
 def test_divergence_theorem_affine_field():
-    m = build_unit_square(5)
-    gp, gw = np.polynomial.legendre.leggauss(3)
-    gp, gw = 0.5 * (gp + 1.0), 0.5 * gw
+    space = TaylorHoodSpace(tag_boundary(build_unit_square(5), top_wall_tagger()))
+    m = space.mesh
     w = lambda x: np.column_stack(
         [2 * x[:, 0] + 3 * x[:, 1] + 1, -x[:, 0] + 4 * x[:, 1] - 2]
     )
-    total = 0.0
-    for f in range(m.num_facets):
-        n, hF, pts = facet_geometry(m, f, gp)
-        total += hF * np.sum(gw * (w(pts) @ n))
+    wn = (w(space.fpoints.reshape(-1, 2)).reshape(space.fpoints.shape)
+          * m.facet_normals[:, None, :]).sum(axis=2)                  # (F,Qf)
+    total = np.sum(m.facet_h[:, None] * space.fqweights * wn)
     assert abs(total - 6.0) <= 1e-12  # div w = 6, |Omega| = 1
 
 
@@ -124,12 +127,6 @@ def test_untagged_mesh_refuses_space_use():
         m.require_tagged()
 
 
-def test_facet_geometry_interior_index():
-    m = build_unit_square(2)
-    with pytest.raises(IndexError):
-        facet_geometry(m, m.num_facets)
-
-
 def test_shape_regularity_constant_across_refinement():
     ratios = []
     for n in (2, 8, 32):
@@ -140,7 +137,7 @@ def test_shape_regularity_constant_across_refinement():
             + np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
             + np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
         )
-        inradius = 2.0 * m.cell_areas() / per
+        inradius = 2.0 * signed_areas(m) / per
         ratios.append((m.cell_h / inradius).max())
     assert np.ptp(ratios) <= 1e-12
     assert ratios[0] < 10.0
@@ -155,15 +152,3 @@ def test_conformity_edge_sharing():
             counts[e] += 1
     assert set(counts) <= {1, 2}
     assert (counts == 1).sum() == m.num_facets
-
-
-def test_dump_roundtrip(tmp_path):
-    m = tag_boundary(build_unit_square(2), top_wall_tagger())
-    path = tmp_path / "mesh.txt"
-    m.dump(path)
-    lines = path.read_text().strip().splitlines()
-    kinds = {ln.split()[0] for ln in lines}
-    assert kinds == {"v", "c", "f"}
-    assert sum(ln.startswith("v ") for ln in lines) == m.num_vertices
-    assert sum(ln.startswith("c ") for ln in lines) == m.num_cells
-    assert sum(ln.startswith("f ") for ln in lines) == m.num_facets

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from slipflow.fespace import SystemState
+import loop_reference as ref
+from slipflow import solver
+from slipflow.fespace import SystemState, TaylorHoodSpace
 from slipflow.forms import (
     AssemblyContext,
     NitscheConfig,
     assemble_jacobian,
     assemble_residual,
+)
+from slipflow.mesh import (
+    BoundaryTag, MeshError, build_unit_square, tag_boundary, top_wall_tagger,
 )
 from slipflow.sliplaw import dynamic_moving_wall, navier, power_law, stick_slip_regularized
 from slipflow.solver import (
@@ -129,6 +134,41 @@ def test_time_grid_must_divide(space4):
         time_march(ctx, SystemState.zero(space4), T=0.013, delta=0.005)
     with pytest.raises(ConfigError):
         time_march(ctx, SystemState.zero(space4), T=0.05, delta=-0.01)
+
+
+def test_probe_outside_the_mesh_fails_before_the_first_step(space4, monkeypatch):
+    ctx = AssemblyContext(
+        space4, NitscheConfig(alpha=10.0), navier(1.0),
+        dirichlet=0.0, delta=0.01, u_old=np.zeros(space4.n_vdofs),
+    )
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a time step ran")
+
+    monkeypatch.setattr(solver, "newton_solve", no_step)
+    with pytest.raises(MeshError, match="outside the mesh"):
+        time_march(ctx, SystemState.zero(space4), T=0.02, delta=0.01,
+                   probes=[(0.5, 1.0), (2.0, 1.0)])
+
+
+@pytest.mark.parametrize("wall", ["top", "all", "none"])
+def test_probe_series_matches_one_probe_at_a_time(wall, rng):
+    taggers = {"top": top_wall_tagger(),
+               "all": lambda mid: BoundaryTag.SLIP,
+               "none": lambda mid: BoundaryTag.DIRICHLET}
+    space = TaylorHoodSpace(tag_boundary(build_unit_square(4), taggers[wall]))
+    ctx = AssemblyContext(
+        space, NitscheConfig(alpha=10.0), navier(1.0),
+        forcing=forcing(taylor_green(1.0), 1.0), dirichlet=0.0,
+        delta=0.01, u_old=np.zeros(space.n_vdofs),
+    )
+    # anywhere, on the walls, at vertices and at edge midpoints
+    pts = np.vstack([rng.random((6, 2)), [[0.5, 1.0], [0.0, 0.3], [1.0, 0.9]],
+                     space.vnode_coords[::9]])
+    traj = time_march(ctx, SystemState.zero(space), T=0.01, delta=0.01, probes=pts)
+    want = ref.probe_values(space, traj.final_state.u, pts)
+    assert np.abs(traj.probe_series[1] - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(want).max() > 0
 
 
 def test_dynamic_march_monotone_and_warm_start_equivalence(space8):
