@@ -435,7 +435,7 @@ def run(cfg: ExperimentConfig) -> dict:
     else:
         space = _space(cfg)
         summary["results"] = runner(cfg, outdir, space)
-        summary["dofs"] = space.n_vdofs + space.n_pdofs + 1
+        summary["dofs"] = space.n_vdofs + space.n_pdofs
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -93,18 +93,22 @@ def interval_quadrature(degree: int = 6):
 
 @dataclasses.dataclass
 class SystemState:
-    """Velocity/pressure coefficients plus the scalar mean-pressure multiplier."""
+    """Velocity and pressure coefficients."""
 
     u: np.ndarray
     p: np.ndarray
-    m: float = 0.0
+
+    @property
+    def m(self) -> float:
+        """0.0 (no multiplier); read only by `benchmarks/workloads.py`."""
+        return 0.0
 
     def copy(self) -> "SystemState":
-        return SystemState(self.u.copy(), self.p.copy(), self.m)
+        return SystemState(self.u.copy(), self.p.copy())
 
     @classmethod
     def zero(cls, space: "TaylorHoodSpace") -> "SystemState":
-        return cls(np.zeros(space.n_vdofs), np.zeros(space.n_pdofs), 0.0)
+        return cls(np.zeros(space.n_vdofs), np.zeros(space.n_pdofs))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -13,11 +13,11 @@ s = +1 for the symmetric and s = -1 for the antisymmetric variant:
 
 Continuity rows are assembled with the sign flipped relative to testing
 the saddle form with q (solution-equivalent) so that the linear part of
-the matrix is symmetric whenever the remaining forms are; the mean
-pressure is controlled by a scalar multiplier column/row.  Dirichlet
-velocity rows/columns are eliminated symmetrically; callers must keep
-Dirichlet entries of the state at their boundary values (the Newton
-solver projects them).
+the matrix is symmetric whenever the remaining forms are.  The system
+fixes the pressure only up to a constant.  Dirichlet velocity
+rows/columns are eliminated symmetrically; callers must keep Dirichlet
+entries of the state at their boundary values (the Newton solver
+projects them).
 """
 
 from __future__ import annotations
@@ -146,43 +146,48 @@ class FormCache:
         """The Jacobian sparsity pattern, built on the first Jacobian."""
         return JacobianPattern(self)
 
+    @functools.cached_property
+    def flux_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """1^T G_c and 1^T |G_c| at the Dirichlet DOFs, where alone 1^T G_c
+        is nonzero: the net flux of Dirichlet data g is the first . g."""
+        ones, dd = np.ones(self.space.n_pdofs), self.space.dirichlet_vdofs
+        return (self.G_c.T @ ones)[dd], (abs(self.G_c).T @ ones)[dd]
+
 
 class JacobianPattern:
     """One CSC sparsity pattern for every Jacobian on a space.
 
     The velocity block is the cell connectivity, which holds every entry
     of the linear, slip-facet and convection blocks; the velocity-pressure
-    blocks are the cell couplings, plus the dense multiplier row and
-    column and one structural (explicitly zero) diagonal slot (k, k) at
-    the last pressure DOF k.  Rows and columns of the Dirichlet velocity
-    DOFs are eliminated and never stored; each gets a unit diagonal.  A
-    Jacobian is a `data` array over this pattern; `cell_pos` (T*144) and
-    `slip_pos` (F*144) locate the entries of the (T,12,12) cell and
-    (F,12,12) slip-facet blocks in it, with `nnz` for an eliminated
-    entry.
+    blocks are the cell couplings, and one structural (explicitly zero)
+    diagonal slot (k, k) sits at the last pressure DOF k.  Rows and
+    columns of the Dirichlet velocity DOFs are eliminated and never
+    stored; each gets a unit diagonal.  A Jacobian A on (u, p) is a
+    `data` array over this pattern; `cell_pos` (T*144) and `slip_pos`
+    (F*144) locate the entries of the (T,12,12) cell and (F,12,12)
+    slip-facet blocks in it, with `nnz` for an eliminated entry.
 
-    Writing a Jacobian as J = [[A, c], [c^T, 0]], with A its (u, p)
-    block and c = (0, e_p) the multiplier column, `bordered(data)` gives
-    A'[q][:, q] for A' = A + e_k e_k^T and the symmetric order `order`
-    (q) over the pattern `a_indptr`/`a_indices`: its data is J's data at
-    `a_pos`, plus 1 at `a_kk`.  The order is the natural one until the
-    first factorization of A' sets a fill-reducing q with `reorder`; it
-    depends only on the structure, so it holds for every later A'.
+    `bordered(data)` gives A'[q][:, q] for A' = A + e_k e_k^T and the
+    symmetric order `order` (q) over the pattern `a_indptr`/`a_indices`:
+    its data is A's data at `a_pos`, plus 1 at `a_kk`.  The order is the
+    natural one until the first factorization of A' sets a fill-reducing
+    q with `reorder`; it depends only on the structure, so it holds for
+    every later A'.
     """
 
     def __init__(self, cache: FormCache):
         space = cache.space
         Nu, Np = space.n_vdofs, space.n_pdofs
-        n = self.n = Nu + Np + 1
+        n = self.n = Nu + Np
+        self.k = n - 1
         fixed = space.dirichlet_vdofs
         self.keep = np.ones(n, dtype=bool)
         self.keep[fixed] = False
 
         cell_rows, cell_cols = block_indices(space.cell_vdofs, space.cell_vdofs)
         pv_rows, pv_cols = block_indices(space.cell_pdofs + Nu, space.cell_vdofs)
-        p, m, k = np.arange(Nu, Nu + Np), np.full(Np, n - 1), [n - 2]
-        rows = np.concatenate([cell_rows, pv_rows, pv_cols, p, m, k])
-        cols = np.concatenate([cell_cols, pv_cols, pv_rows, m, p, k])
+        rows = np.concatenate([cell_rows, pv_rows, pv_cols, [self.k]])
+        cols = np.concatenate([cell_cols, pv_cols, pv_rows, [self.k]])
         live = self.keep[rows] & self.keep[cols]
         # column-major keys sort into CSC order
         keys = np.unique(np.concatenate([cols[live] * n + rows[live],
@@ -205,20 +210,17 @@ class JacobianPattern:
 
     def reorder(self, q: Optional[np.ndarray]) -> None:
         """Lay A' out as A'[q][:, q] in CSC order (natural for None)."""
-        n = self.n - 1
+        n = self.n
         inv = np.arange(n) if q is None else np.argsort(q)
         keys = self._keys()
-        rows, cols = keys % self.n, keys // self.n
-        pos = np.flatnonzero((rows < n) & (cols < n))
-        a_keys = inv[cols[pos]] * n + inv[rows[pos]]
-        by_key = np.argsort(a_keys)
-        a_keys = a_keys[by_key]
-        self.a_pos = pos[by_key]
+        a_keys = inv[keys // n] * n + inv[keys % n]
+        self.a_pos = np.argsort(a_keys)
+        a_keys = a_keys[self.a_pos]
         self.a_indices = (a_keys % n).astype(np.int32)
         self.a_indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(a_keys // n, minlength=n))]
         ).astype(np.int32)
-        self.a_kk = int(np.searchsorted(a_keys, inv[n - 1] * (n + 1)))
+        self.a_kk = int(np.searchsorted(a_keys, inv[self.k] * (n + 1)))
         self.order = q
 
     def positions(self, rows, cols) -> np.ndarray:
@@ -246,7 +248,7 @@ class JacobianPattern:
         a = data[self.a_pos]
         a[self.a_kk] += 1.0
         return sp.csc_matrix((a, self.a_indices, self.a_indptr),
-                             shape=(self.n - 1, self.n - 1))
+                             shape=(self.n, self.n))
 
 
 def get_cache(space: TaylorHoodSpace) -> FormCache:
@@ -323,7 +325,7 @@ class AssemblyContext:
 
     @property
     def n_sys(self) -> int:
-        return self.space.n_vdofs + self.space.n_pdofs + 1
+        return self.space.n_vdofs + self.space.n_pdofs
 
     def linear_operator(self) -> sp.csr_matrix:
         """Constant part of the velocity-velocity block."""
@@ -338,15 +340,12 @@ class AssemblyContext:
         return self._lin
 
     def system_operator(self) -> sp.csr_matrix:
-        """Constant part of the whole system on (u, p, m): the linear
-        operator, the continuity coupling -G_c and -G_c^T, and the
-        multiplier row and column e_p."""
+        """Constant part of the whole system on (u, p): the linear
+        operator and the continuity coupling -G_c and -G_c^T."""
         if self._sys is None:
             c = self.cache
-            e = sp.csr_matrix(c.e_p[:, None])
-            self._sys = sp.bmat([[self.linear_operator(), -c.G_c.T, None],
-                                 [-c.G_c, None, e],
-                                 [None, e.T, None]], format="csr")
+            self._sys = sp.bmat([[self.linear_operator(), -c.G_c.T],
+                                 [-c.G_c, None]], format="csr")
         return self._sys
 
     def jacobian_constant(self) -> np.ndarray:
@@ -404,7 +403,8 @@ class AssemblyContext:
         return self._hist_t
 
     def dirichlet_values(self) -> np.ndarray:
-        """Full-length vector with boundary values at Dirichlet DOFs."""
+        """Full-length vector with boundary values at Dirichlet DOFs.  Data
+        with a net flux |1^T G_c g| > 1e-10 1^T |G_c| |g| raises FormsError."""
         if self._g_t is None:
             space = self.space
             g = np.zeros(space.n_vdofs)
@@ -415,6 +415,12 @@ class AssemblyContext:
                 )
                 g[2 * space.dirichlet_vnodes] = vals[:, 0]
                 g[2 * space.dirichlet_vnodes + 1] = vals[:, 1]
+                w, w_abs = self.cache.flux_weights
+                gd = g[space.dirichlet_vdofs]
+                flux = abs(float(w @ gd))
+                if not flux <= 1e-10 * float(w_abs @ np.abs(gd)):
+                    raise FormsError(f"Dirichlet data at t = {self.t:g} has "
+                                     f"net flux {flux:.3e} through the boundary")
             self._g_t = g
         return self._g_t
 
@@ -428,11 +434,11 @@ class AssemblyContext:
     # -- vector packing --------------------------------------------------------
 
     def pack(self, state: SystemState) -> np.ndarray:
-        return np.concatenate([state.u, state.p, [state.m]])
+        return np.concatenate([state.u, state.p])
 
     def unpack(self, x: np.ndarray) -> SystemState:
-        Nu, Np = self.space.n_vdofs, self.space.n_pdofs
-        return SystemState(x[:Nu].copy(), x[Nu:Nu + Np].copy(), float(x[Nu + Np]))
+        Nu = self.space.n_vdofs
+        return SystemState(x[:Nu].copy(), x[Nu:].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +536,7 @@ def assemble_residual(state: SystemState, ctx: AssemblyContext) -> np.ndarray:
         raise FormsError("unsteady assembly needs u_old")
 
     # the constant part, with the continuity rows (sign flipped for
-    # symmetry) and the mean-pressure row; r_u views the momentum rows
+    # symmetry); r_u views the momentum rows
     r = ctx.system_operator() @ ctx.pack(state)
     r_u = r[:space.n_vdofs]
     r_u += _slip_residual(ctx, u)
@@ -566,14 +572,10 @@ def assemble_jacobian(state: SystemState, ctx: AssemblyContext) -> sp.csc_matrix
 # ---------------------------------------------------------------------------
 
 def trilinear_skew(space: TaylorHoodSpace, u, v, w) -> float:
-    """Skew convective form 1/2 [ ((u.grad)v, w) - ((u.grad)w, v) ]."""
-    # each distinct field is evaluated once; for v is w the two terms are
-    # the same sum and cancel exactly
-    evals = {}
-    for x in (u, v, w):
-        if id(x) not in evals:
-            evals[id(x)] = space.velocity_at_quadrature(x)
-    (uv, _), (vv, gv), (wv, gw) = (evals[id(x)] for x in (u, v, w))
+    """Skew convective form 1/2 [ ((u.grad)v, w) - ((u.grad)w, v) ]; for
+    v equal to w the two terms are the same sum and cancel exactly."""
+    (uv, _), (vv, gv), (wv, gw) = (space.velocity_at_quadrature(x)
+                                   for x in (u, v, w))
 
     def term(grads, other):
         adv = uv[..., 0, None] * grads[..., 0] + uv[..., 1, None] * grads[..., 1]
@@ -648,7 +650,7 @@ def energy_balance(state: SystemState, ctx: AssemblyContext) -> EnergyBalance:
     at a converged step with homogeneous Dirichlet data the signed sum
     vanishes to solver tolerance.
     """
-    space, c, cfg = ctx.space, ctx.cache, ctx.config
+    c, cfg = ctx.cache, ctx.config
     u, p = state.u, state.p
     if ctx.delta is not None:
         du = (u - ctx.u_old) / ctx.delta
@@ -658,9 +660,6 @@ def energy_balance(state: SystemState, ctx: AssemblyContext) -> EnergyBalance:
     kd = float(u @ (c.K_D @ u))
     pp = float(u @ (c.P_pen @ u))
     t_visc = 2.0 * cfg.nu * kd
-    t_conv = (
-        trilinear_skew(space, u, u, u) if cfg.include_convection else 0.0
-    )
     t_pres = -float(p @ (c.G_c @ u))
     t_slip = float(u @ _slip_residual(ctx, u))
     t_pen = cfg.nu * ctx.alpha * pp
@@ -668,10 +667,11 @@ def energy_balance(state: SystemState, ctx: AssemblyContext) -> EnergyBalance:
     cu = float(u @ (c.C_nit @ u))
     t_nit = -2.0 * cfg.nu * (cu + s * cu)
     t_f = float(ctx.force_vector() @ u)
-    resid = t_time + t_visc + t_conv + t_pres + t_slip + t_pen + t_nit - t_f
+    resid = t_time + t_visc + t_pres + t_slip + t_pen + t_nit - t_f
     pform = 2.0 * kd - 4.0 * cu + ctx.alpha * pp
+    # btilde(u, u, u) is an exact 0.0 (see trilinear_skew)
     return EnergyBalance(
-        time=t_time, viscous=t_visc, convective=t_conv, pressure=t_pres,
+        time=t_time, viscous=t_visc, convective=0.0, pressure=t_pres,
         slip=t_slip, penalty=t_pen, nitsche=t_nit, force=t_f,
         residual=resid, penalty_form=pform,
     )

@@ -30,9 +30,9 @@ LS_MAX = 8
 # accept a step computed with a reused factorization only if it
 # contracts the residual at least this much; otherwise refactorize
 CHORD_ACCEPT = 0.25
-# a bordered solve whose residual against the Jacobian exceeds this,
-# relative to the right-hand side, gets one step of iterative
-# refinement; if it still does, the full Jacobian is factorized
+# a solve whose residual against the Jacobian exceeds this, relative to
+# the right-hand side, gets one step of iterative refinement; if it
+# still does, A' is factorized again with partial pivoting
 BORDERED_RTOL = 1e-10
 # SuperLU pivot threshold for A': 0 takes every nonzero diagonal pivot
 # of the fill-reducing order (static pivoting).  It gives up growth
@@ -79,11 +79,11 @@ class NewtonReport:
     ls_steps: list
     converged: bool
     factorizations: int = 0     # LU factorizations computed
-    fallbacks: int = 0          # of those, full-Jacobian ones
+    fallbacks: int = 0          # of those, partial-pivoting ones
     chord_accepted: int = 0     # reused-factorization steps taken
     chord_rejected: int = 0     # ... and refused
     lu_fill: int = 0            # stored entries of L and U, summed
-    refinements: int = 0        # bordered solves refined once
+    refinements: int = 0        # solves refined once
 
 
 class FactorCache:
@@ -98,25 +98,16 @@ class FactorCache:
         self.factor = None
 
 
-def _splu(M, report: NewtonReport, **options):
-    lu = spla.splu(M, **options)
-    report.factorizations += 1
-    report.lu_fill += lu.nnz
-    return lu
-
-
 class _Factor:
-    """LU factors of one Jacobian J = [[A, c], [c^T, 0]] on (u, p, m),
-    with A the (u, p) block and c = (0, e_p) the multiplier column.
+    """LU factors of one Jacobian A on (u, p), and its solves.
 
     A has the constant pressure z = (0, 1_p) as its right and its left
     null vector: the continuity rows sum to zero column by column.  So
     A' = A + e_k e_k^T, for the pressure DOF k of the Jacobian pattern,
-    is regular, and it is factorized instead of J; its LU has no dense
-    row or column.  J (x, m) = (r, s) is then solved exactly with one A'
-    solve (Keller's bordering algorithm):
-    m = sum(r_p) / sum(e_p); A' x' = r - m c; x = x' + theta z with
-    theta = (s - e_p . x'_p) / sum(e_p).
+    is regular, and it is factorized instead.  A x = b is solved in three
+    steps (Bochev & Lehoucq, SIAM Rev. 47, 2005): b_p -= (sum(b_p) /
+    sum(e_p)) e_p projects b onto the range of A; then A' x = b has
+    x_k = 0 and A x = b; last, x_p is shifted to zero e_p-mean.
 
     A' is factorized with diagonal pivoting (BORDERED_PIVOT) in one
     symmetric fill-reducing order q, the same for every A' on a space
@@ -124,75 +115,74 @@ class _Factor:
     takes q from COLAMD, every later one factorizes A'[q][:, q] in its
     natural order, and A' x = b is solved as x[q] = LU^-1 b[q].
 
-    Every solve is checked against J.  If A' cannot be factorized, or a
-    solve misses BORDERED_RTOL after one refinement step, J itself is
-    factorized with COLAMD and partial pivoting and used from then on.
+    Every solve is checked against A.  If A' cannot be factorized, or a
+    solve misses BORDERED_RTOL after one refinement step, A' is
+    factorized with COLAMD and partial pivoting and used, unchecked,
+    from then on.
     """
 
     def __init__(self, J, ctx: AssemblyContext, report: NewtonReport):
-        space, pat = ctx.space, ctx.cache.pattern
-        self.J = J
-        self.p = slice(space.n_vdofs, space.n_vdofs + space.n_pdofs)
+        self.J, self.pattern = J, ctx.cache.pattern
+        self.p = slice(ctx.space.n_vdofs, None)
         self.e_p = ctx.cache.e_p
         self.e_sum = float(self.e_p.sum())
-        self.bordered = True
-        self.q = pat.order
-        permc = "COLAMD" if self.q is None else "NATURAL"
+        self.checked = True
+        first = self.pattern.order is None
         try:
-            self.lu = _splu(pat.bordered(J.data), report, permc_spec=permc,
-                            diag_pivot_thresh=BORDERED_PIVOT)
+            self._factor(report, permc_spec="COLAMD" if first else "NATURAL",
+                         diag_pivot_thresh=BORDERED_PIVOT)
         except RuntimeError:
             self._fall_back(report)
             return
-        if self.q is None:
+        if first:
             # perm_c depends only on the structure of A'
-            pat.reorder(np.argsort(self.lu.perm_c))
+            self.pattern.reorder(np.argsort(self.lu.perm_c))
+
+    def _factor(self, report: NewtonReport, **options):
+        """Factorize A'[q][:, q] in the pattern's current order q."""
+        self.q = self.pattern.order
+        self.lu = spla.splu(self.pattern.bordered(self.J.data), **options)
+        report.factorizations += 1
+        report.lu_fill += self.lu.nnz
 
     def _fall_back(self, report: NewtonReport):
-        self.bordered = False
+        self.checked = False
         self.lu = None
         try:
-            self.lu = _splu(self.J, report, permc_spec="COLAMD")
+            self._factor(report, permc_spec="COLAMD")
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
         report.fallbacks += 1
 
-    def _solve_bordered(self, b: np.ndarray) -> np.ndarray:
+    def _solve(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The projection of b onto the range of A, and the zero-mean x
+        that A maps to it."""
         p, q = self.p, self.q
-        m = b[p].sum() / self.e_sum
-        rhs = b[:-1].copy()
-        rhs[p] -= m * self.e_p
+        b = b.copy()
+        b[p] -= b[p].sum() / self.e_sum * self.e_p
         if q is None:
-            x = self.lu.solve(rhs)
+            x = self.lu.solve(b)
         else:
-            x = np.empty_like(rhs)
-            x[q] = self.lu.solve(rhs[q])
-        x[p] += (b[-1] - self.e_p @ x[p]) / self.e_sum
-        return np.append(x, m)
+            x = np.empty_like(b)
+            x[q] = self.lu.solve(b[q])
+        x[p] -= (self.e_p @ x[p]) / self.e_sum
+        return b, x
 
     def _accurate(self, x: np.ndarray, b: np.ndarray) -> bool:
         res = np.linalg.norm(b - self.J @ x)
         return bool(res <= BORDERED_RTOL * np.linalg.norm(b))
 
     def solve(self, b: np.ndarray, report: NewtonReport) -> np.ndarray:
-        """J^-1 b; a refinement or a fallback is counted in `report`."""
-        if not self.bordered:
-            return self.lu.solve(b)
-        x = self._solve_bordered(b)
-        if not self._accurate(x, b):
+        """The zero-mean x that A maps to the projection of b onto its
+        range; a refinement or a fallback is counted in `report`."""
+        b, x = self._solve(b)
+        if self.checked and not self._accurate(x, b):
             report.refinements += 1
-            x += self._solve_bordered(b - self.J @ x)
+            x += self._solve(b - self.J @ x)[1]
             if not self._accurate(x, b):
                 self._fall_back(report)
-                return self.lu.solve(b)
+                x = self._solve(b)[1]
         return x
-
-
-def _factorize(state, ctx, report: NewtonReport, where: str) -> _Factor:
-    J = assemble_jacobian(state, ctx)
-    if not np.all(np.isfinite(J.data)):
-        raise SolverError(f"{where}: the Jacobian is not finite")
-    return _Factor(J, ctx, report)
 
 
 def newton_solve(
@@ -205,16 +195,18 @@ def newton_solve(
     """Solve the assembled nonlinear system.
 
     Converged when ||R|| <= max(abs_tol, rel_tol ||R_0||).  The guess has
-    its Dirichlet entries projected before the first residual, so every
-    Newton update vanishes on the constrained DOFs.  When a FactorCache is
-    passed (the time marcher does), updates are first tried with the
-    cached factorization and the Jacobian is refactorized at the current
-    iterate whenever that fails to contract the true residual.  A
-    non-finite Jacobian, or a line search whose every trial has a
-    non-finite residual, raises SolverError.
+    its Dirichlet entries projected and its pressure shifted to zero
+    e_p-mean before the first residual, and every Newton update keeps
+    both.  When a FactorCache is passed (the time marcher does), updates
+    are first tried with the cached factorization and the Jacobian is
+    refactorized at the current iterate whenever that fails to contract
+    the true residual.  A non-finite Jacobian, or a line search whose
+    every trial has a non-finite residual, raises SolverError.
     """
     state = guess.copy() if guess is not None else SystemState.zero(ctx.space)
     ctx.project_dirichlet(state)
+    e_p = ctx.cache.e_p
+    state.p -= (e_p @ state.p) / e_p.sum()
     if factors is None:
         factors = FactorCache()   # reuse within this solve only
 
@@ -250,10 +242,14 @@ def newton_solve(
                 continue
             report.chord_rejected += 1
 
-        # free the old factors first: two factorizations never coexist
+        # free the old factors and their Jacobian first: two
+        # factorizations never coexist
         where = f"step {step_label}, Newton iteration {it + 1}"
-        factors.factor = None
-        factors.factor = _factorize(state, ctx, report, where)
+        factors.factor = J = None
+        J = assemble_jacobian(state, ctx)
+        if not np.all(np.isfinite(J.data)):
+            raise SolverError(f"{where}: the Jacobian is not finite")
+        factors.factor = _Factor(J, ctx, report)
         d = factors.factor.solve(-r, report)
 
         x = ctx.pack(state)

@@ -283,6 +283,5 @@ def interpolation_errors(space: TaylorHoodSpace, sol: ManufacturedSolution,
     state = SystemState(
         space.interpolate_velocity(sol.u, t),
         space.interpolate_pressure(sol.p, t),
-        0.0,
     )
     return space.error_norms(state, sol.u, sol.p, t=t, exact_grad_u=sol.grad_u)

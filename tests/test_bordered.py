@@ -1,18 +1,21 @@
 """The bordered factorization of the Newton Jacobian, its fixed
-fill-reducing order, its refinement and fallback to the full Jacobian,
+fill-reducing order, its refinement and fallback to partial pivoting,
 the solver's counts and its non-finite guards.
 
-J = [[A, c], [c^T, 0]] on (u, p, m) is solved with one LU of
+The singular Jacobian A on (u, p) is solved with one LU of
 A' = A + e_k e_k^T; that rests on the constant pressure being a null
 vector of A, which is checked first.  A' is factorized with diagonal
 pivoting in one symmetric order q per Jacobian pattern, taken from the
-first (COLAMD) factorization on the pattern.
+first (COLAMD) factorization on the pattern.  The solves are checked
+against the reference Jacobian on (u, p, m), which borders A with the
+mean-pressure multiplier row and column and is regular.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from loop_reference import jacobian as multiplier_jacobian
 from test_cell_kernels import make_ctx, random_state
 from slipflow import solver
 from slipflow.fespace import SystemState, TaylorHoodSpace
@@ -57,9 +60,9 @@ def test_constant_pressure_is_null_vector(space, rng, steady, convection, g):
     free[space.dirichlet_vdofs] = False
     gt1 = c.G_c.T @ np.ones(Np)
     assert np.abs(gt1[free]).max() <= 1e-14 * abs(c.G_c).sum(axis=0).max()
-    # the continuity rows of the Jacobian, over the (u, p) columns
+    # the continuity rows of the Jacobian
     J = assemble_jacobian(random_state(ctx, rng), ctx).tocsr()
-    rows = J[Nu:Nu + Np, :-1]
+    rows = J[Nu:Nu + Np]
     assert np.abs(rows.sum(axis=0)).max() <= 1e-14 * abs(rows).sum(axis=0).max()
 
 
@@ -69,7 +72,7 @@ def test_bordered_solve_matches_full_lu(space, rng, steady, convection, g):
     for scale in (1e-5, 1.0):
         st = random_state(ctx, rng, scale)
         J = assemble_jacobian(st, ctx)
-        full = spla.splu(J, permc_spec="COLAMD")
+        full = spla.splu(multiplier_jacobian(st, ctx).tocsc(), permc_spec="COLAMD")
         newton = -solver.assemble_residual(st, ctx)
         # the first factorization on the pattern orders it by COLAMD, a
         # later one factorizes A'[q][:, q] in that order
@@ -79,19 +82,19 @@ def test_bordered_solve_matches_full_lu(space, rng, steady, convection, g):
             factor = solver._Factor(J, ctx, report)
             assert (factor.q is None) == first
             for b in (newton, rng.normal(size=J.shape[0])):
-                want = full.solve(b)
+                # (x, m) with J (x, m) = (b, 0): x has zero pressure mean
+                want = full.solve(np.append(b, 0.0))[:-1]
                 got = factor.solve(b, report)
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-            assert factor.bordered and report.fallbacks == report.refinements == 0
+            assert factor.checked and report.fallbacks == report.refinements == 0
             assert report.factorizations == 1
             assert 0 < report.lu_fill < full.nnz
 
 
 def bordered_dense(J, pat):
-    """A' = J[:-1, :-1] + e_k e_k^T, dense."""
-    k = pat.n - 2
-    want = J[:-1, :-1].toarray()
-    want[k, k] += 1.0
+    """A' = J + e_k e_k^T, dense."""
+    want = J.toarray()
+    want[pat.k, pat.k] += 1.0
     return want
 
 
@@ -134,7 +137,7 @@ def test_order_is_taken_once_per_pattern(monkeypatch):
     orders = counting_factors(monkeypatch)
     newton_solve(steady)
     q = pat.order
-    assert np.array_equal(np.sort(q), np.arange(pat.n - 1))
+    assert np.array_equal(np.sort(q), np.arange(pat.n))
     newton_solve(march)
     march.set_timestep(0.02)
     newton_solve(march, guess=SystemState.zero(space))
@@ -199,19 +202,23 @@ def test_convection_dominated_steady_solve():
     assert np.linalg.norm(r) <= max(1e-10, 1e-10 * report.residuals[0])
 
 
-def counting_splu(monkeypatch, space, fail_bordered=0):
-    """Patch splu to keep every factorization it returns; its first
-    `fail_bordered` calls on a bordered block (one row short of J)
-    raise as a singular factor does."""
+def diagonal_pivoting(options) -> bool:
+    return options.get("diag_pivot_thresh") == solver.BORDERED_PIVOT
+
+
+def counting_splu(monkeypatch, fail_bordered=0):
+    """Patch splu to keep every factorization it returns, with its
+    options; its first `fail_bordered` calls with diagonal pivoting raise
+    as a singular factor does."""
     made, fails = [], [fail_bordered]
     real = spla.splu
 
     def splu(M, **kwargs):
-        if fails[0] and M.shape[0] == space.n_vdofs + space.n_pdofs:
+        if fails[0] and diagonal_pivoting(kwargs):
             fails[0] -= 1
             raise RuntimeError("Factor is exactly singular")
-        made.append(real(M, **kwargs))
-        return made[-1]
+        made.append((real(M, **kwargs), kwargs))
+        return made[-1][0]
 
     monkeypatch.setattr(solver.spla, "splu", splu)
     return made
@@ -227,7 +234,7 @@ def stick_slip_march(space4, monkeypatch):
         reports.append(report)
         return state, report
 
-    made = counting_splu(monkeypatch, space4)
+    made = counting_splu(monkeypatch)
     monkeypatch.setattr(solver, "newton_solve", newton)
     ctx = AssemblyContext(
         space4, NitscheConfig(alpha=10.0), stick_slip_regularized(0.0, 1.0, 2e-4),
@@ -244,7 +251,7 @@ def test_report_counts_match_splu(space4, monkeypatch):
     for reports, made in runs:
         assert len(reports) == 5
         assert sum(r.factorizations for r in reports) == len(made) > 0
-        assert sum(r.lu_fill for r in reports) == sum(lu.nnz for lu in made)
+        assert sum(r.lu_fill for r in reports) == sum(lu.nnz for lu, _ in made)
         assert sum(r.fallbacks for r in reports) == 0
         assert sum(r.refinements for r in reports) == 0
         assert sum(r.chord_accepted for r in reports) > 0
@@ -264,7 +271,7 @@ def test_fallback_when_bordered_factor_fails(space8, monkeypatch):
     ctx = AssemblyContext(space8, NitscheConfig(alpha=10.0), law,
                           forcing=forcing(taylor_green(3.0), 1.0), dirichlet=0.0)
     want, ref = newton_solve(ctx)
-    made = counting_splu(monkeypatch, space8, fail_bordered=1)
+    made = counting_splu(monkeypatch, fail_bordered=1)
     got, report = newton_solve(ctx)
     assert report.converged and report.fallbacks == 1
     assert report.factorizations == len(made) == ref.factorizations
@@ -275,16 +282,16 @@ def test_fallback_when_bordered_factor_fails(space8, monkeypatch):
 
 def test_fallback_when_refinement_fails(space8, monkeypatch):
     # no solve can meet a zero bound: the first one refines, falls back
-    # to the full Jacobian and keeps it for the rest of the solve
+    # to partial pivoting and keeps that factor for the rest of the solve
     ctx = stokes_ctx(space8)
     want, _ = newton_solve(ctx)
     monkeypatch.setattr(solver, "BORDERED_RTOL", 0.0)
-    made = counting_splu(monkeypatch, space8)
+    made = counting_splu(monkeypatch)
     got, report = newton_solve(ctx)
     assert report.converged and report.iterations == 1
     assert report.refinements == report.fallbacks == 1
     assert report.factorizations == len(made) == 2
-    assert made[1].shape == (ctx.n_sys, ctx.n_sys)
+    assert [diagonal_pivoting(options) for _, options in made] == [True, False]
     assert np.abs(got.u - want.u).max() <= 1e-10 * np.abs(want.u).max()
 
 
@@ -320,7 +327,7 @@ def test_line_search_skips_non_finite_trial(space8, monkeypatch):
     state, report = newton_solve(stokes_ctx(space8))
     assert report.converged and report.ls_steps[0] == 1
     assert np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.p))
-    assert np.isfinite(state.m) and np.all(np.isfinite(report.residuals))
+    assert np.all(np.isfinite(report.residuals))
 
 
 def test_line_search_all_non_finite_raises(space8, monkeypatch):

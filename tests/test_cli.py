@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from slipflow import cli
@@ -211,6 +212,21 @@ def test_probe_outside_the_mesh_is_a_configuration_error(tmp_path, capsys):
     assert "outside the mesh" in capsys.readouterr().err
 
 
+def test_dirichlet_data_with_net_flux_is_a_configuration_error(
+        tmp_path, capsys, monkeypatch):
+    # the smooth_nonmonotone runner takes its Dirichlet data from
+    # verify.dirichlet_data; g = (x, 0) has a net flux of 1
+    monkeypatch.setattr(cli.verify, "dirichlet_data", lambda sol: (
+        lambda x, t: np.column_stack([x[:, 0], np.zeros(len(x))])))
+    cfgp = write_config(
+        tmp_path,
+        {"experiment": "smooth_nonmonotone", "n": 2, "lambdas": [1.0],
+         "outdir": str(tmp_path / "out")},
+    )
+    assert main(["solve", str(cfgp)]) == 3
+    assert "net flux" in capsys.readouterr().err
+
+
 def test_summary_dofs_count_the_whole_system(tmp_path):
     cfg = ExperimentConfig.from_mapping(
         {"experiment": "dynamic", "n": 3, "T": 0.01, "beta_stars": [0.0],
@@ -218,8 +234,8 @@ def test_summary_dofs_count_the_whole_system(tmp_path):
     )
     summary = run(cfg)
     # n = 3: 16 vertices and 33 edges carry 2 * 49 velocity dofs, the
-    # vertices 16 pressure dofs, plus the mean-pressure multiplier
-    assert summary["dofs"] == 2 * 49 + 16 + 1
+    # vertices 16 pressure dofs
+    assert summary["dofs"] == 2 * 49 + 16
     written = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert written["dofs"] == summary["dofs"]
 

@@ -167,7 +167,6 @@ def test_error_norms_reproduces_discrete_pair(space8):
     state = SystemState(
         space8.interpolate_velocity(sol.u, 0.0),
         space8.interpolate_pressure(p_lin, 0.0),
-        0.0,
     )
     en = space8.error_norms(
         state,

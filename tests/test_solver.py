@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loop_reference as ref
 from slipflow import solver
 from slipflow.fespace import SystemState, TaylorHoodSpace
 from slipflow.forms import (
     AssemblyContext,
+    FormsError,
     NitscheConfig,
     assemble_jacobian,
     assemble_residual,
@@ -40,10 +43,23 @@ def test_linear_problem_one_iteration(space8):
     state, report = newton_solve(stokes_ctx(space8, f))
     assert report.iterations == 1
     assert report.converged
-    # converged mean pressure vanishes with the multiplier
+    # the converged pressure has zero mean
     from slipflow.forms import get_cache
 
     assert abs(state.p @ get_cache(space8).e_p) <= 1e-10
+
+
+def test_guess_pressure_mean_is_removed(space8, rng):
+    # a linear problem: one Newton step from any guess gives the solution,
+    # whose pressure has zero mean whatever the mean of the guess
+    f = lambda x, t: np.column_stack([np.sin(3 * x[:, 1]), x[:, 0]])
+    ctx = stokes_ctx(space8, f)
+    want, _ = newton_solve(ctx)
+    guess = SystemState(np.zeros(space8.n_vdofs),
+                        3.7 + rng.normal(size=space8.n_pdofs))
+    got, report = newton_solve(ctx, guess=guess)
+    assert report.iterations == 1
+    assert np.abs(got.p - want.p).max() <= 1e-10 * np.abs(want.p).max()
 
 
 def test_rest_state_zero_iterations(space8):
@@ -134,6 +150,55 @@ def test_time_grid_must_divide(space4):
         time_march(ctx, SystemState.zero(space4), T=0.013, delta=0.005)
     with pytest.raises(ConfigError):
         time_march(ctx, SystemState.zero(space4), T=0.05, delta=-0.01)
+
+
+@pytest.fixture(scope="module")
+def rest2():
+    space = TaylorHoodSpace(tag_boundary(build_unit_square(2), top_wall_tagger()))
+    return AssemblyContext(space, NitscheConfig(alpha=10.0), navier(1.0),
+                           dirichlet=0.0, delta=1.0,
+                           u_old=np.zeros(space.n_vdofs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=st.floats(1e-3, 1.0), m=st.integers(0, 12),
+       off=st.one_of(st.floats(-0.5, 0.5), st.floats(2.0, 50.0),
+                     st.floats(-50.0, -2.0)))
+def test_time_grid_is_checked_exactly(rest2, delta, m, off):
+    # T is m steps plus `off` times the tolerance 1e-9 max(T, 1), with a
+    # factor 2 clear of the tolerance: far below rounding either way
+    T = m * delta
+    T += off * 1e-9 * max(T, 1.0)
+    state = SystemState.zero(rest2.space)
+    if m < 1 or abs(off) > 1.0:
+        with pytest.raises(ConfigError, match="not an integer multiple"):
+            time_march(rest2, state, T=T, delta=delta, record_profiles=False)
+        return
+    traj = time_march(rest2, state, T=T, delta=delta, record_profiles=False)
+    assert len(traj.times) == m + 1 == round(T / delta) + 1
+    assert traj.newton_iters == [0] * m
+
+
+def test_dirichlet_data_with_net_flux_is_rejected(space4):
+    # g = (x, 0) pushes a net flux of 1 out through the right wall
+    ctx = AssemblyContext(
+        space4, NitscheConfig(alpha=10.0), navier(1.0),
+        dirichlet=lambda x, t: np.column_stack([x[:, 0], np.zeros(len(x))]))
+    with pytest.raises(FormsError, match="net flux 1.000e\\+00"):
+        newton_solve(ctx)
+
+
+@pytest.mark.parametrize("diagonal", ["right", "crossed"])
+def test_taylor_green_dirichlet_data_solves(diagonal):
+    space = TaylorHoodSpace(
+        tag_boundary(build_unit_square(4, diagonal), top_wall_tagger()))
+    sol = taylor_green(1.0)
+    ctx = AssemblyContext(space, NitscheConfig(alpha=10.0), navier(1.0),
+                          forcing=forcing(sol, 1.0), dirichlet=dirichlet_data(sol))
+    state, report = newton_solve(ctx)
+    assert report.converged and report.fallbacks == report.refinements == 0
+    r = np.linalg.norm(assemble_residual(state, ctx))
+    assert r <= max(1e-10, 1e-10 * report.residuals[0])
 
 
 def test_probe_outside_the_mesh_fails_before_the_first_step(space4, monkeypatch):

@@ -175,7 +175,6 @@ def test_consistency_residual_decays_under_refinement():
         st = SystemState(
             space.interpolate_velocity(sol.u, 0.0),
             space.interpolate_pressure(sol.p, 0.0),
-            0.0,
         )
         norms.append(np.linalg.norm(assemble_residual(st, ctx)))
     assert norms[1] <= 0.4 * norms[0]
