@@ -154,6 +154,57 @@ class FormCache:
         return (self.G_c.T @ ones)[dd], (abs(self.G_c).T @ ones)[dd]
 
 
+# nested dissection stops at boxes of at most this many velocity nodes
+ND_LEAF = 8
+
+
+def nd_order(space: TaylorHoodSpace) -> np.ndarray:
+    """Nested-dissection order q of the (u, p) unknowns (A. George, SIAM
+    J. Numer. Anal. 10(2), 1973): each box of `nd_paths` is ordered left,
+    right, then separator, each block with its velocity DOFs before the
+    pressure DOFs of its vertices, after the Dirichlet velocity DOFs."""
+    block = nd_paths(space)[0]
+    key = np.concatenate([np.repeat(block, 2), block[:space.n_pdofs]])
+    free = ~np.isin(np.arange(key.size), space.dirichlet_vdofs)
+    return np.lexsort((np.arange(key.size) >= space.n_vdofs, key, free))
+
+
+def nd_paths(space: TaylorHoodSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Each velocity node's path through the nested dissection: the rank
+    of its path, and its digits (nodes, levels): 0 left, 1 right, 2
+    separator or leaf, then 0.  Each level cuts every box across its
+    longer extent at the vertex line nearest its median that no cell
+    crosses, so the nodes on it separate the sides exactly.  Boxes of
+    at most ND_LEAF nodes, or with no such line, are leaves."""
+    mesh, x = space.mesh, space.vnode_coords
+    lines = []      # per axis, the vertex lines c with no cell lo < c < hi
+    for c, ends in zip(mesh.vertices.T, mesh.vertices[mesh.cells].T):
+        c, lo, hi = np.unique(c), np.sort(ends.min(axis=0)), np.sort(ends.max(axis=0))
+        lines.append(c[np.searchsorted(lo, c) <= np.searchsorted(hi, c, "right")])
+    rank, live, digits = np.zeros(len(x), dtype=np.int64), np.ones(len(x), bool), []
+    while live.any():
+        at = np.flatnonzero(live)
+        g = np.unique(rank[at], return_inverse=True)[1]
+        count = np.bincount(g)
+        first, box = np.cumsum(count) - count, np.arange(len(count))
+        xs = np.stack([x[at, a][np.lexsort((x[at, a], g))] for a in range(2)], 1)
+        axis = np.argmax(xs[first + count - 1] - xs[first], axis=1)
+        lo, hi, med = (xs[i, axis] for i in (first, first + count - 1, first + count // 2))
+        cand = np.stack([L[np.clip(np.searchsorted(L, med)[:, None] + [-1, 0],
+                                   0, L.size - 1)] for L in lines], 1)[box, axis]
+        dist = np.where((cand > lo[:, None]) & (cand < hi[:, None]),
+                        np.abs(cand - med[:, None]), np.inf)
+        best = dist.argmin(axis=1)
+        cut = np.where((count > ND_LEAF) & (dist[box, best] < np.inf),
+                       cand[box, best], np.nan)[g]
+        xa, digit = x[at, axis[g]], np.zeros(len(x), dtype=np.int64)
+        digit[at] = np.where(xa < cut, 0, np.where(xa > cut, 1, 2))
+        live[at] = digit[at] < 2
+        digits.append(digit)
+        rank = np.unique(3 * rank + digit, return_inverse=True)[1]
+    return rank, np.stack(digits, 1)
+
+
 class JacobianPattern:
     """One CSC sparsity pattern for every Jacobian on a space.
 
@@ -169,10 +220,9 @@ class JacobianPattern:
 
     `bordered(data)` gives A'[q][:, q] for A' = A + e_k e_k^T and the
     symmetric order `order` (q) over the pattern `a_indptr`/`a_indices`:
-    its data is A's data at `a_pos`, plus 1 at `a_kk`.  The order is the
-    natural one until the first factorization of A' sets a fill-reducing
-    q with `reorder`; it depends only on the structure, so it holds for
-    every later A'.
+    its data is A's data at `a_pos`, plus 1 at `a_kk`.  q is the
+    nested-dissection order `nd_order(space)`, set at construction; it
+    depends only on the mesh, so it holds for every A' on the space.
     """
 
     def __init__(self, cache: FormCache):
@@ -201,18 +251,9 @@ class JacobianPattern:
         self.cell_pos = self.positions(cell_rows, cell_cols)
         self.slip_pos = self.positions(*block_indices(cache.slip.dofs,
                                                       cache.slip.dofs))
-        self.reorder(None)
-
-    def _keys(self) -> np.ndarray:
-        """Column-major key col * n + row of every stored entry."""
-        n = self.n
-        return np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
-
-    def reorder(self, q: Optional[np.ndarray]) -> None:
-        """Lay A' out as A'[q][:, q] in CSC order (natural for None)."""
-        n = self.n
-        inv = np.arange(n) if q is None else np.argsort(q)
-        keys = self._keys()
+        # A'[q][:, q] in CSC order
+        self.order = nd_order(space)
+        inv = np.argsort(self.order)
         a_keys = inv[keys // n] * n + inv[keys % n]
         self.a_pos = np.argsort(a_keys)
         a_keys = a_keys[self.a_pos]
@@ -221,12 +262,11 @@ class JacobianPattern:
             [[0], np.cumsum(np.bincount(a_keys // n, minlength=n))]
         ).astype(np.int32)
         self.a_kk = int(np.searchsorted(a_keys, inv[self.k] * (n + 1)))
-        self.order = q
 
     def positions(self, rows, cols) -> np.ndarray:
         """Positions in `data` of the entries (rows, cols), `nnz` where a
         fixed row or column eliminates the entry."""
-        keys = self._keys()
+        keys = np.repeat(np.arange(self.n), np.diff(self.indptr)) * self.n + self.indices
         live = self.keep[rows] & self.keep[cols]
         want = np.asarray(cols, dtype=np.int64) * self.n + rows
         pos = np.searchsorted(keys, want)

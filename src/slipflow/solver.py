@@ -109,10 +109,9 @@ class _Factor:
     sum(e_p)) e_p projects b onto the range of A; then A' x = b has
     x_k = 0 and A x = b; last, x_p is shifted to zero e_p-mean.
 
-    A' is factorized with diagonal pivoting (BORDERED_PIVOT) in one
-    symmetric fill-reducing order q, the same for every A' on a space
-    (`JacobianPattern.order`): the first factorization on the pattern
-    takes q from COLAMD, every later one factorizes A'[q][:, q] in its
+    A' is factorized with diagonal pivoting (BORDERED_PIVOT) in the
+    pattern's nested-dissection order q (`JacobianPattern.order`), the
+    same for every A' on a space: A'[q][:, q] is factorized in its
     natural order, and A' x = b is solved as x[q] = LU^-1 b[q].
 
     Every solve is checked against A.  If A' cannot be factorized, or a
@@ -127,20 +126,13 @@ class _Factor:
         self.e_p = ctx.cache.e_p
         self.e_sum = float(self.e_p.sum())
         self.checked = True
-        first = self.pattern.order is None
         try:
-            self._factor(report, permc_spec="COLAMD" if first else "NATURAL",
-                         diag_pivot_thresh=BORDERED_PIVOT)
+            self._factor(report, permc_spec="NATURAL", diag_pivot_thresh=BORDERED_PIVOT)
         except RuntimeError:
             self._fall_back(report)
-            return
-        if first:
-            # perm_c depends only on the structure of A'
-            self.pattern.reorder(np.argsort(self.lu.perm_c))
 
     def _factor(self, report: NewtonReport, **options):
-        """Factorize A'[q][:, q] in the pattern's current order q."""
-        self.q = self.pattern.order
+        """Factorize A'[q][:, q] for the pattern's order q."""
         self.lu = spla.splu(self.pattern.bordered(self.J.data), **options)
         report.factorizations += 1
         report.lu_fill += self.lu.nnz
@@ -157,14 +149,11 @@ class _Factor:
     def _solve(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The projection of b onto the range of A, and the zero-mean x
         that A maps to it."""
-        p, q = self.p, self.q
+        p, q = self.p, self.pattern.order
         b = b.copy()
         b[p] -= b[p].sum() / self.e_sum * self.e_p
-        if q is None:
-            x = self.lu.solve(b)
-        else:
-            x = np.empty_like(b)
-            x[q] = self.lu.solve(b[q])
+        x = np.empty_like(b)
+        x[q] = self.lu.solve(b[q])
         x[p] -= (self.e_p @ x[p]) / self.e_sum
         return b, x
 

@@ -5,10 +5,10 @@ the solver's counts and its non-finite guards.
 The singular Jacobian A on (u, p) is solved with one LU of
 A' = A + e_k e_k^T; that rests on the constant pressure being a null
 vector of A, which is checked first.  A' is factorized with diagonal
-pivoting in one symmetric order q per Jacobian pattern, taken from the
-first (COLAMD) factorization on the pattern.  The solves are checked
-against the reference Jacobian on (u, p, m), which borders A with the
-mean-pressure multiplier row and column and is regular.
+pivoting in the pattern's nested-dissection order q, fixed when the
+pattern is built (its own tests are in `test_nd_order.py`).  The solves
+are checked against the reference Jacobian on (u, p, m), which borders
+A with the mean-pressure multiplier row and column and is regular.
 """
 
 import numpy as np
@@ -17,9 +17,9 @@ import scipy.sparse.linalg as spla
 
 from loop_reference import jacobian as multiplier_jacobian
 from test_cell_kernels import make_ctx, random_state
-from slipflow import solver
+from slipflow import forms, solver
 from slipflow.fespace import SystemState, TaylorHoodSpace
-from slipflow.forms import AssemblyContext, NitscheConfig, assemble_jacobian
+from slipflow.forms import AssemblyContext, NitscheConfig, assemble_jacobian, nd_order
 from slipflow.mesh import BoundaryTag, build_unit_square, tag_boundary, top_wall_tagger
 from slipflow.sliplaw import navier, power_law, stick_slip_regularized
 from slipflow.solver import (NewtonConfig, NewtonError, NewtonReport, SolverError,
@@ -74,21 +74,16 @@ def test_bordered_solve_matches_full_lu(space, rng, steady, convection, g):
         J = assemble_jacobian(st, ctx)
         full = spla.splu(multiplier_jacobian(st, ctx).tocsc(), permc_spec="COLAMD")
         newton = -solver.assemble_residual(st, ctx)
-        # the first factorization on the pattern orders it by COLAMD, a
-        # later one factorizes A'[q][:, q] in that order
-        ctx.cache.pattern.reorder(None)
-        for first in (True, False):
-            report = NewtonReport(0, [], [], False)
-            factor = solver._Factor(J, ctx, report)
-            assert (factor.q is None) == first
-            for b in (newton, rng.normal(size=J.shape[0])):
-                # (x, m) with J (x, m) = (b, 0): x has zero pressure mean
-                want = full.solve(np.append(b, 0.0))[:-1]
-                got = factor.solve(b, report)
-                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-            assert factor.checked and report.fallbacks == report.refinements == 0
-            assert report.factorizations == 1
-            assert 0 < report.lu_fill < full.nnz
+        report = NewtonReport(0, [], [], False)
+        factor = solver._Factor(J, ctx, report)
+        for b in (newton, rng.normal(size=J.shape[0])):
+            # (x, m) with J (x, m) = (b, 0): x has zero pressure mean
+            want = full.solve(np.append(b, 0.0))[:-1]
+            got = factor.solve(b, report)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert factor.checked and report.fallbacks == report.refinements == 0
+        assert report.factorizations == 1
+        assert 0 < report.lu_fill < full.nnz
 
 
 def bordered_dense(J, pat):
@@ -102,56 +97,41 @@ def test_bordered_block_gathers_jacobian(space, rng):
     ctx = case_ctx(space, rng, True, True, "zero")
     pat = ctx.cache.pattern
     J = assemble_jacobian(random_state(ctx, rng), ctx)
-    pat.reorder(None)
-    A = pat.bordered(J.data)
-    assert np.array_equal(A.toarray(), bordered_dense(J, pat))
-    assert A.has_canonical_format
-    solver._Factor(J, ctx, NewtonReport(0, [], [], False))
     q = pat.order
     A = pat.bordered(J.data)
     assert np.array_equal(A.toarray(), bordered_dense(J, pat)[q][:, q])
     assert A.has_canonical_format
 
 
-def counting_factors(monkeypatch):
-    """Patch splu to record the column order of every factorization."""
-    orders, real = [], spla.splu
-
-    def splu(M, **kwargs):
-        orders.append(kwargs["permc_spec"])
-        return real(M, **kwargs)
-
-    monkeypatch.setattr(solver.spla, "splu", splu)
-    return orders
-
-
 def test_order_is_taken_once_per_pattern(monkeypatch):
-    # a space of its own: its pattern has no order yet
+    # a space of its own: no Jacobian has been built on it yet
     space = TaylorHoodSpace(tag_boundary(build_unit_square(4), top_wall_tagger()))
     steady = stokes_ctx(space)
     march = AssemblyContext(space, NitscheConfig(alpha=10.0), navier(1.0),
                             forcing=forcing(taylor_green(1.0), 1.0),
                             dirichlet=0.0, delta=0.01, u_old=np.zeros(space.n_vdofs))
+    made = counting_splu(monkeypatch)
     pat = steady.cache.pattern
-    assert march.cache.pattern is pat and pat.order is None
-    orders = counting_factors(monkeypatch)
-    newton_solve(steady)
     q = pat.order
-    assert np.array_equal(np.sort(q), np.arange(pat.n))
+    assert march.cache.pattern is pat and not made
+    assert np.array_equal(q, nd_order(space))
+    newton_solve(steady)
     newton_solve(march)
     march.set_timestep(0.02)
     newton_solve(march, guess=SystemState.zero(space))
     assert pat.order is q
-    assert orders == ["COLAMD"] + ["NATURAL"] * (len(orders) - 1)
-    assert len(orders) >= 3
+    assert len(made) >= 3
+    assert all(options == {"permc_spec": "NATURAL",
+                           "diag_pivot_thresh": solver.BORDERED_PIVOT}
+               for _, options in made)
 
 
 def tiny_pivot_ctx(rel):
     """A linear Stokes problem whose Jacobian has the diagonal entry of one
     tangential velocity DOF i on the slip wall at `rel` times its size
     without slip, cancelled by an active (negative) Navier friction; and
-    a pattern order that eliminates i first, so its diagonal is the first
-    pivot."""
+    the nested-dissection order with i moved first, so its diagonal is
+    the first pivot."""
     space = TaylorHoodSpace(tag_boundary(build_unit_square(8), top_wall_tagger()))
 
     def ctx_for(gamma):
@@ -166,20 +146,23 @@ def tiny_pivot_ctx(rel):
     slip = np.flatnonzero(d1[:space.n_vdofs])
     i = slip[slip.size // 2]
     ctx = ctx_for(-d0[i] / d1[i] * (1.0 - rel))
-    solver._Factor(assemble_jacobian(zero, ctx), ctx, NewtonReport(0, [], [], False))
     q = ctx.cache.pattern.order
     return ctx, i, np.concatenate([[i], q[q != i]])
 
 
 @pytest.mark.parametrize("rel,refinements,fallbacks",
                          [(1e-10, 1, 0), (1e-12, 1, 1)])
-def test_tiny_pivot_is_refined_or_falls_back(rel, refinements, fallbacks):
+def test_tiny_pivot_is_refined_or_falls_back(rel, refinements, fallbacks,
+                                             monkeypatch):
     ctx, i, q = tiny_pivot_ctx(rel)
     J = assemble_jacobian(SystemState.zero(ctx.space), ctx)
     assert 0 < abs(J[i, i]) < 10 * rel * abs(J[:, [i]]).max()
     want, ref = newton_solve(ctx)
     assert ref.refinements == ref.fallbacks == 0
-    ctx.cache.pattern.reorder(q)
+    # a pattern built in the order q
+    monkeypatch.setattr(forms, "nd_order", lambda space: q)
+    ctx.cache.pattern = forms.JacobianPattern(ctx.cache)
+    assert ctx.cache.pattern.order is q
     got, report = newton_solve(ctx)
     assert report.converged and report.iterations == ref.iterations == 1
     assert (report.refinements, report.fallbacks) == (refinements, fallbacks)
