@@ -13,10 +13,10 @@ Experiments (unit square, slip on the top wall, no-slip elsewhere):
   convergence           manufactured-solution rate study
   constants             certified stability constants over a mesh family
 
-Config files are flat JSON objects (scalars or lists of scalars); CLI
-`-o key=value` overrides file keys.  CSV files carry a comment line
-echoing the resolved config.  Exit codes: 0 success, 2 solver failure,
-3 configuration error.
+Config files are flat JSON objects (scalars or lists of scalars, each
+of its key's type); CLI `-o key=value` overrides file keys.  CSV files
+carry a comment line echoing the resolved config.  Exit codes: 0
+success, 2 solver failure, 3 configuration error.
 """
 
 from __future__ import annotations
@@ -46,6 +46,27 @@ EXPERIMENTS = (
 )
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, float) or _is_int(val)
+
+
+# annotated field type -> (what a config value must be, its check)
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list[int]": ("a list of integers",
+                  lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "list[float]": ("a list of numbers",
+                    lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "object": ("a number or 'auto'", lambda v: v == "auto" or _is_number(v)),
+}
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
     """Resolved run configuration; defaults reproduce the reference study
@@ -72,18 +93,18 @@ class ExperimentConfig:
     fang_a: float = 1.6
     fang_b: float = 1.5
     fang_beta_exp: float = 10.0
-    lambdas: list = dataclasses.field(default_factory=lambda: [1.0, 10.0])
+    lambdas: list[float] = dataclasses.field(default_factory=lambda: [1.0, 10.0])
     lambda_star: float = 1.0
-    lambda_schedule: list = dataclasses.field(default_factory=list)
-    gamma_stars: list = dataclasses.field(default_factory=lambda: [0.0, 2.0])
-    beta_stars: list = dataclasses.field(
+    lambda_schedule: list[float] = dataclasses.field(default_factory=list)
+    gamma_stars: list[float] = dataclasses.field(default_factory=lambda: [0.0, 2.0])
+    beta_stars: list[float] = dataclasses.field(
         default_factory=lambda: [0.0, 0.5, 1.0, 2.0]
     )
-    snapshots: list = dataclasses.field(default_factory=lambda: [0.5, 1.5, 2.0])
+    snapshots: list[float] = dataclasses.field(default_factory=lambda: [0.5, 1.5, 2.0])
     probe_x: float = 0.5
     probe_y: float = 1.0
-    convergence_ns: list = dataclasses.field(default_factory=lambda: [16, 32, 64])
-    constants_ns: list = dataclasses.field(default_factory=lambda: [8, 16, 32])
+    convergence_ns: list[int] = dataclasses.field(default_factory=lambda: [16, 32, 64])
+    constants_ns: list[int] = dataclasses.field(default_factory=lambda: [8, 16, 32])
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_iter: int = 40
@@ -94,6 +115,10 @@ class ExperimentConfig:
         unknown = sorted(set(data) - set(fields))
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
+        for key, val in data.items():
+            what, fits = _FIELD_TYPES[fields[key].type]
+            if not fits(val):
+                raise ConfigError(f"config key {key!r} must be {what}, got {val!r}")
         cfg = cls(**data)
         if cfg.experiment not in EXPERIMENTS:
             raise ConfigError(
@@ -103,7 +128,7 @@ class ExperimentConfig:
             raise ConfigError("mesh resolution n must be >= 1")
         if cfg.diagonal not in ("right", "crossed"):
             raise ConfigError(f"unknown diagonal {cfg.diagonal!r}")
-        if not (cfg.alpha == "auto" or float(cfg.alpha) > 0):
+        if not (cfg.alpha == "auto" or cfg.alpha > 0):
             raise ConfigError("alpha must be a positive number or 'auto'")
         return cfg
 
@@ -189,34 +214,40 @@ def _write_cr(outdir: Path, tag: str, prof, law, echo: str) -> None:
     plot.save(outdir / f"cr_scatter_{tag}.svg")
 
 
-def _steady(cfg, space, law, lam_star, sol, make_forcing, dirichlet):
-    """Steady solve at amplitude lam_star; if the direct solve raises a
-    SolverError, it is ramped up to lam_star instead."""
+def _steady(cfg, space, law, lam_star, sol, dirichlet):
+    """Steady solve at amplitude lam_star of the manufactured solution
+    sol(lam) with its convective forcing; if the direct solve raises a
+    SolverError, it is ramped up to lam_star instead.  Returns the state
+    and the context it was solved in."""
+    ctx = None
 
     def make_ctx(lam):
+        nonlocal ctx
         s = sol(lam)
-        return forms.AssemblyContext(
+        ctx = forms.AssemblyContext(
             space,
             forms.NitscheConfig(nu=cfg.nu, alpha=cfg.alpha, variant=cfg.variant),
             law,
-            forcing=make_forcing(s),
+            forcing=verify.forcing(s, cfg.nu, convection=True),
             dirichlet=dirichlet(s),
         )
+        return ctx
 
     schedule = list(cfg.lambda_schedule) or [lam_star]
     if schedule[-1] != lam_star:
         raise ConfigError(
             f"lambda_schedule must end at the target amplitude {lam_star}"
         )
+    # either walk ends at lam_star, so its last context is the target's
     try:
-        return solver.steady_solve(make_ctx, schedule, cfg=_newton(cfg)), make_ctx(lam_star)
+        return solver.steady_solve(make_ctx, schedule, cfg=_newton(cfg)), ctx
     except solver.SolverError:
         if len(schedule) > 1:
             raise
         ramp = list(np.linspace(lam_star / 5.0, lam_star, 5))
         log.warning("direct solve failed at amplitude %g; ramping %s",
                     lam_star, ramp)
-        return solver.steady_solve(make_ctx, ramp, cfg=_newton(cfg)), make_ctx(lam_star)
+        return solver.steady_solve(make_ctx, ramp, cfg=_newton(cfg)), ctx
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +261,8 @@ def run_smooth_nonmonotone(cfg: ExperimentConfig, outdir: Path,
     )
     summary = {}
     for lam in cfg.lambdas:
-        sol = lambda L: verify.taylor_green(L)
-        state, ctx = _steady(
-            cfg, space, law, lam, sol,
-            make_forcing=lambda s: verify.forcing(s, cfg.nu, convection=True),
-            dirichlet=verify.dirichlet_data,
-        )
+        state, ctx = _steady(cfg, space, law, lam, verify.taylor_green,
+                             dirichlet=verify.dirichlet_data)
         prof = forms.boundary_functionals(state, ctx)
         tag = f"lam{lam:g}"
         _write_profile(outdir, tag, prof, cfg.echo())
@@ -256,11 +283,8 @@ def run_nonsmooth_nonmonotone(cfg: ExperimentConfig, outdir: Path,
     summary = {}
     for lam in cfg.lambdas:
         sol_obj = verify.polynomial_jhyw(lam)
-        state, ctx = _steady(
-            cfg, space, law, lam, lambda L: verify.polynomial_jhyw(L),
-            make_forcing=lambda s: verify.forcing(s, cfg.nu, convection=True),
-            dirichlet=lambda s: 0.0,
-        )
+        state, ctx = _steady(cfg, space, law, lam, verify.polynomial_jhyw,
+                             dirichlet=lambda s: 0.0)
         prof = forms.boundary_functionals(state, ctx)
         tag = f"lam{lam:g}"
         _write_profile(outdir, tag, prof, cfg.echo())

@@ -308,7 +308,8 @@ class AssemblyContext:
 
     forcing(x, t) -> (N,2) is the body force; dirichlet is the boundary
     value map g(x, t) -> (N,2) (pass 0.0 for homogeneous no-slip; it is
-    required whenever Dirichlet facets exist); slip_forcing(x, t) -> (N,2)
+    required whenever Dirichlet facets exist, and any other number
+    raises FormsError); slip_forcing(x, t) -> (N,2)
     is an additive tangential traction on the slip wall used by the
     manufactured-solution verification.  delta=None selects the steady
     problem (no time term); otherwise u_old and t describe the active
@@ -341,6 +342,13 @@ class AssemblyContext:
             raise FormsError(
                 "mesh has Dirichlet facets but no Dirichlet data was given "
                 "(pass dirichlet=0.0 for homogeneous no-slip)"
+            )
+        if not (dirichlet is None or callable(dirichlet) or (
+                isinstance(dirichlet, (int, float))
+                and not isinstance(dirichlet, bool) and dirichlet == 0.0)):
+            raise FormsError(
+                f"Dirichlet data must be None, 0.0 or a callable g(x, t), "
+                f"got {dirichlet!r}"
             )
         self.dirichlet = dirichlet
         self.cache = get_cache(space)

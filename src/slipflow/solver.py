@@ -186,11 +186,15 @@ def newton_solve(
     Converged when ||R|| <= max(abs_tol, rel_tol ||R_0||).  The guess has
     its Dirichlet entries projected and its pressure shifted to zero
     e_p-mean before the first residual, and every Newton update keeps
-    both.  When a FactorCache is passed (the time marcher does), updates
-    are first tried with the cached factorization and the Jacobian is
-    refactorized at the current iterate whenever that fails to contract
-    the true residual.  A non-finite Jacobian, or a line search whose
-    every trial has a non-finite residual, raises SolverError.
+    both.  A FactorCache passed in (the time marcher does) carries the
+    factorization across calls.  Every iteration steps along an LU
+    direction: with a reused factorization it tries the full step only,
+    which is kept if it contracts the true residual by CHORD_ACCEPT or
+    meets tol and otherwise frees the factorization, so the iteration
+    is retried with a fresh one.  A fresh factorization backtracks up to
+    LS_MAX halvings and keeps the best finite trial.  A non-finite
+    Jacobian, or a line search whose every trial has a non-finite
+    residual, raises SolverError.
     """
     state = guess.copy() if guess is not None else SystemState.zero(ctx.space)
     ctx.project_dirichlet(state)
@@ -215,36 +219,20 @@ def newton_solve(
                 report=report,
             )
 
-        # quasi-Newton attempt with the cached factorization
-        if factors.factor is not None:
-            cand = ctx.unpack(ctx.pack(state) + factors.factor.solve(-r, report))
-            rc = assemble_residual(cand, ctx)
-            rcn = float(np.linalg.norm(rc))
-            if rcn <= CHORD_ACCEPT * rnorm or rcn <= tol:
-                state, rnorm, r = cand, rcn, rc
-                report.chord_accepted += 1
-                report.ls_steps.append(0)
-                report.residuals.append(rnorm)
-                report.iterations += 1
-                log.info("step %d iter %d resid %.6e ls 0 (reused)",
-                         step_label, it + 1, rnorm)
-                continue
-            report.chord_rejected += 1
-
-        # free the old factors and their Jacobian first: two
-        # factorizations never coexist
         where = f"step {step_label}, Newton iteration {it + 1}"
-        factors.factor = J = None
-        J = assemble_jacobian(state, ctx)
-        if not np.all(np.isfinite(J.data)):
-            raise SolverError(f"{where}: the Jacobian is not finite")
-        factors.factor = _Factor(J, ctx, report)
+        reused = factors.factor is not None
+        if not reused:
+            J = assemble_jacobian(state, ctx)
+            if not np.all(np.isfinite(J.data)):
+                raise SolverError(f"{where}: the Jacobian is not finite")
+            factors.factor = _Factor(J, ctx, report)
+            del J   # freeing the factor frees its Jacobian
         d = factors.factor.solve(-r, report)
 
         x = ctx.pack(state)
         lam = 1.0
         best = None
-        for halving in range(LS_MAX + 1):
+        for halving in range(1 if reused else LS_MAX + 1):
             cand = ctx.unpack(x + lam * d)
             rc = assemble_residual(cand, ctx)
             rcn = float(np.linalg.norm(rc))
@@ -254,15 +242,21 @@ def newton_solve(
             if rcn < rnorm:
                 break
             lam *= LS_RHO
+        if reused and (best is None or best[1] > max(CHORD_ACCEPT * rnorm, tol)):
+            # freed before the next factorization: two never coexist
+            factors.factor = None
+            report.chord_rejected += 1
+            continue
         if best is None:
             raise SolverError(
                 f"{where}: every line-search trial has a non-finite residual")
         state, rnorm, r, used = best
+        report.chord_accepted += reused
         report.ls_steps.append(used)
         report.residuals.append(rnorm)
         report.iterations += 1
-        log.info("step %d iter %d resid %.6e ls %d", step_label, it + 1,
-                 rnorm, used)
+        log.info("step %d iter %d resid %.6e ls %d%s", step_label, it + 1,
+                 rnorm, used, " (reused)" if reused else "")
 
     report.converged = True
     return state, report
@@ -319,6 +313,9 @@ class Trajectory:
     final_state: SystemState
 
     def profile_at(self, t: float) -> WallProfile:
+        if not self.profiles:
+            raise ConfigError("no wall profiles were recorded "
+                              "(the march ran with record_profiles=False)")
         j = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[j] - t) > 1e-9 * max(1.0, abs(t)):
             raise ConfigError(f"time {t} is not on the trajectory grid")

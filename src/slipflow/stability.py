@@ -208,13 +208,19 @@ def infsup_constant(space: TaylorHoodSpace) -> float:
 # automatic penalty
 # ---------------------------------------------------------------------------
 
+# the automatic penalty exceeds its stability bound by this factor
+ALPHA_SAFETY = 1.1
+# spatial dimension d in the bounds
+DIM = 2
+
+
 def resolve_alpha(config, law: SlipLaw, c_tr: float,
-                  c_trk: Optional[float] = None, safety: float = 1.1,
-                  d: int = 2) -> float:
+                  c_trk: Optional[float] = None) -> float:
     """Penalty from the stability bounds: alpha > 2 d c_tr^2 for monotone
     laws; for lambda-monotone laws alpha > 2 (c_lam d c_tr^2 + lam) /
-    (c_lam - lam) with c_lam = 2 nu / c_trK^2, requiring lam < c_lam.
-    Numeric alpha values pass through unchanged."""
+    (c_lam - lam) with c_lam = 2 nu / c_trK^2, requiring lam < c_lam;
+    either bound times ALPHA_SAFETY.  Numeric alpha values pass through
+    unchanged."""
     if config.alpha != "auto":
         return float(config.alpha)
     lam = law.lam
@@ -222,12 +228,12 @@ def resolve_alpha(config, law: SlipLaw, c_tr: float,
         raise StabilityError("lambda-monotone laws need the c_trK constant")
     if lam == 0.0 or c_trk == 0.0:
         # without a slip wall c_lam is infinite and the bound is monotone
-        return safety * 2.0 * d * c_tr**2
+        return ALPHA_SAFETY * 2.0 * DIM * c_tr**2
     c_lam = 2.0 * config.nu / c_trk**2
     if lam >= c_lam:
         raise StabilityError(f"monotonicity defect lambda = {lam:.6g} violates the "
                              f"stability bound lambda < 2 nu / c_trK^2 = {c_lam:.6g}")
-    return safety * 2.0 * (c_lam * d * c_tr**2 + lam) / (c_lam - lam)
+    return ALPHA_SAFETY * 2.0 * (c_lam * DIM * c_tr**2 + lam) / (c_lam - lam)
 
 
 def constants_report(space: TaylorHoodSpace, config=None, law=None) -> ConstantsReport:

@@ -1,7 +1,12 @@
+import contextlib
+import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slipflow import cli
 from slipflow.cli import ExperimentConfig, main, parse_config, run
@@ -255,3 +260,51 @@ def test_convergence_csv_reads_back(tmp_path):
     assert rows[0][6:] == ["nan"] * 4
     assert float(rows[2][6]) == summary["results"]["rates"]["l2_u"][1]
     assert float(rows[1][2]) == summary["results"]["errors"][1]["err_l2_u"]
+
+
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+TEXT = st.text(max_size=4)
+NOT_NUMBERS = st.one_of(st.booleans(), TEXT, st.lists(NUMBERS, max_size=1))
+# values of the wrong type for each annotated field type
+WRONG_VALUES = {
+    "int": st.one_of(st.floats(-3.0, 3.0), st.booleans(), TEXT,
+                     st.lists(st.integers(1, 3), max_size=2)),
+    "float": st.one_of(st.booleans(), TEXT, st.lists(NUMBERS, max_size=2)),
+    "str": st.one_of(NUMBERS, st.booleans(), st.lists(TEXT, max_size=2)),
+    "list[int]": st.one_of(
+        NUMBERS, st.booleans(), TEXT,
+        st.lists(st.one_of(NOT_NUMBERS, st.floats(-3.0, 3.0)),
+                 min_size=1, max_size=2)),
+    "list[float]": st.one_of(
+        NUMBERS, st.booleans(), TEXT,
+        st.lists(NOT_NUMBERS, min_size=1, max_size=2)),
+    "object": st.one_of(st.booleans(), TEXT.filter(lambda v: v != "auto"),
+                        st.lists(NUMBERS, max_size=2)),
+}
+
+
+@st.composite
+def wrong_override(draw):
+    key = draw(st.sampled_from(sorted(FIELD_TYPES)))
+    return key, json.dumps(draw(WRONG_VALUES[FIELD_TYPES[key]]))
+
+
+@given(override=wrong_override())
+@example(override=("n", "2.5"))
+@example(override=("delta", "abc"))
+@example(override=("gamma_stars", "5"))
+@example(override=("max_iter", "abc"))
+@example(override=("convergence_ns", "[1.5, 3, 6]"))
+@settings(max_examples=80, deadline=None)
+def test_wrong_typed_config_value_exits_3(tmp_path_factory, override):
+    root = tmp_path_factory.mktemp("typed")
+    cfgp = write_config(root, {
+        "experiment": "stick_slip", "n": 2, "T": 0.02, "delta": 0.01,
+        "snapshots": [0.02], "gamma_stars": [0.0], "outdir": str(root / "out")})
+    key, raw = override
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["solve", str(cfgp), "-o", f"{key}={raw}"]) == 3
+    assert f"config key {key!r} must be" in err.getvalue()
+    assert not (root / "out").exists()

@@ -70,6 +70,14 @@ def test_missing_dirichlet_data(space4):
         AssemblyContext(space4, NitscheConfig(alpha=10.0), navier(1.0))
 
 
+@pytest.mark.parametrize("g", [1.0, -2, 1e-300, True, "0.0", np.zeros(2)])
+def test_dirichlet_data_other_than_zero_or_callable_is_rejected(space4, g):
+    # the boundary values are zero unless g is callable, so a nonzero
+    # constant would silently impose no-slip
+    with pytest.raises(FormsError, match="Dirichlet data must be"):
+        AssemblyContext(space4, NitscheConfig(alpha=10.0), navier(1.0), dirichlet=g)
+
+
 def test_unsteady_needs_u_old(space4):
     ctx = AssemblyContext(
         space4, NitscheConfig(alpha=10.0), navier(1.0),

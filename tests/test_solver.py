@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from slipflow.solver import (
     steady_solve,
     time_march,
 )
-from slipflow.verify import dirichlet_data, forcing, taylor_green
+from slipflow.verify import dirichlet_data, forcing, polynomial_jhyw, taylor_green
 
 
 def stokes_ctx(space, f=None):
@@ -272,3 +274,46 @@ def test_march_with_stick_slip_energy_recorded(space4):
     assert len(traj.energy) == 5
     for eb in traj.energy:
         assert abs(eb.residual) <= 1e-7 * eb.scale
+
+
+def stick_slip_march_ctx(space):
+    """The stick-slip march of the CLI at delta = 0.1."""
+    sol = polynomial_jhyw(1.0, time_mode="linear")
+    return AssemblyContext(
+        space, NitscheConfig(alpha=10.0), stick_slip_regularized(0.0, 1.0, 2e-4),
+        forcing=forcing(sol, 1.0, convection=True), dirichlet=0.0,
+        delta=0.1, u_old=np.zeros(space.n_vdofs),
+    )
+
+
+def test_two_factorizations_never_coexist(space4, monkeypatch):
+    # through stick-to-slip the reused factorization keeps failing to
+    # contract the residual; each rejection must free it before the
+    # next one is built
+    alive, coexisting, reports = [], [], []
+
+    class Tracked(solver._Factor):
+        def __init__(self, *args):
+            coexisting.append(sum(ref() is not None for ref in alive))
+            super().__init__(*args)
+            alive.append(weakref.ref(self))
+
+    def captured(*args, **kwargs):
+        state, report = newton_solve(*args, **kwargs)
+        reports.append(report)
+        return state, report
+
+    monkeypatch.setattr(solver, "_Factor", Tracked)
+    monkeypatch.setattr(solver, "newton_solve", captured)
+    time_march(stick_slip_march_ctx(space4), SystemState.zero(space4),
+               T=1.5, delta=0.1)
+    assert sum(r.chord_rejected for r in reports) == len(coexisting) - 1 > 10
+    assert coexisting == [0] * len(coexisting)
+
+
+def test_profiles_not_recorded_is_a_config_error(space4):
+    traj = time_march(stick_slip_march_ctx(space4), SystemState.zero(space4),
+                      T=0.2, delta=0.1, record_profiles=False)
+    assert traj.profiles == []
+    with pytest.raises(ConfigError, match="no wall profiles were recorded"):
+        traj.profile_at(0.1)
