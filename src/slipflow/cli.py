@@ -13,8 +13,9 @@ Experiments (unit square, slip on the top wall, no-slip elsewhere):
   convergence           manufactured-solution rate study
   constants             certified stability constants over a mesh family
 
-Config files are flat JSON objects (scalars or lists of scalars, each
-of its key's type); CLI `-o key=value` overrides file keys.  CSV files
+Config files are flat JSON objects in UTF-8 (scalars or lists of
+scalars, each of its key's type; numbers must be finite); CLI
+`-o key=value` overrides file keys.  CSV files
 carry a comment line echoing the resolved config.  Exit codes: 0
 success, 2 solver failure, 3 configuration error.
 """
@@ -25,6 +26,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -51,19 +53,21 @@ def _is_int(val) -> bool:
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, float) or _is_int(val)
+    """A finite number: JSON's NaN and Infinity are not."""
+    return (isinstance(val, float) and math.isfinite(val)) or _is_int(val)
 
 
 # annotated field type -> (what a config value must be, its check)
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
-    "float": ("a number", _is_number),
+    "float": ("a finite number", _is_number),
     "str": ("a string", lambda v: isinstance(v, str)),
     "list[int]": ("a list of integers",
                   lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    "list[float]": ("a list of numbers",
+    "list[float]": ("a list of finite numbers",
                     lambda v: isinstance(v, list) and all(map(_is_number, v))),
-    "object": ("a number or 'auto'", lambda v: v == "auto" or _is_number(v)),
+    "object": ("a finite number or 'auto'",
+               lambda v: v == "auto" or _is_number(v)),
 }
 
 
@@ -138,10 +142,12 @@ class ExperimentConfig:
 
 def parse_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -167,6 +173,15 @@ def _space(cfg: ExperimentConfig, n: int | None = None) -> fespace.TaylorHoodSpa
         mesh.build_unit_square(n, cfg.diagonal), mesh.top_wall_tagger()
     )
     return fespace.TaylorHoodSpace(msh)
+
+
+def _context(cfg: ExperimentConfig, space: fespace.TaylorHoodSpace, law,
+             include_convection: bool = True, **data) -> forms.AssemblyContext:
+    """The assembly context of the configured Nitsche scheme on `space`;
+    `data` (forcing, dirichlet, delta, ...) goes to AssemblyContext."""
+    nitsche = forms.NitscheConfig(nu=cfg.nu, alpha=cfg.alpha, variant=cfg.variant,
+                                  include_convection=include_convection)
+    return forms.AssemblyContext(space, nitsche, law, **data)
 
 
 def _newton(cfg: ExperimentConfig) -> solver.NewtonConfig:
@@ -224,13 +239,9 @@ def _steady(cfg, space, law, lam_star, sol, dirichlet):
     def make_ctx(lam):
         nonlocal ctx
         s = sol(lam)
-        ctx = forms.AssemblyContext(
-            space,
-            forms.NitscheConfig(nu=cfg.nu, alpha=cfg.alpha, variant=cfg.variant),
-            law,
-            forcing=verify.forcing(s, cfg.nu, convection=True),
-            dirichlet=dirichlet(s),
-        )
+        ctx = _context(cfg, space, law,
+                       forcing=verify.forcing(s, cfg.nu, convection=True),
+                       dirichlet=dirichlet(s))
         return ctx
 
     schedule = list(cfg.lambda_schedule) or [lam_star]
@@ -289,9 +300,8 @@ def run_nonsmooth_nonmonotone(cfg: ExperimentConfig, outdir: Path,
         tag = f"lam{lam:g}"
         _write_profile(outdir, tag, prof, cfg.echo())
         _write_cr(outdir, tag, prof, law, cfg.echo())
-        err = space.error_norms(
-            state, sol_obj.u, sol_obj.p, t=0.0, exact_grad_u=sol_obj.grad_u
-        )
+        err = space.error_norms(state, sol_obj.u, sol_obj.p,
+                                exact_grad_u=sol_obj.grad_u)
         interp = verify.interpolation_errors(space, sol_obj)
         summary[tag] = {
             "max_u_tau": float(prof.u_tau.max()),
@@ -310,15 +320,8 @@ def run_stick_slip(cfg: ExperimentConfig, outdir: Path,
     summary = {}
     for gs in cfg.gamma_stars:
         law = sliplaw.stick_slip_regularized(gs, cfg.mu_star, cfg.epsilon)
-        ctx = forms.AssemblyContext(
-            space,
-            forms.NitscheConfig(nu=cfg.nu, alpha=cfg.alpha, variant=cfg.variant),
-            law,
-            forcing=f,
-            dirichlet=0.0,
-            delta=cfg.delta,
-            u_old=np.zeros(space.n_vdofs),
-        )
+        ctx = _context(cfg, space, law, forcing=f, dirichlet=0.0,
+                       delta=cfg.delta, u_old=np.zeros(space.n_vdofs))
         traj = solver.time_march(
             ctx, fespace.SystemState.zero(space), cfg.T, cfg.delta,
             probes=[(cfg.probe_x, cfg.probe_y)], cfg=_newton(cfg),
@@ -342,14 +345,8 @@ def run_dynamic(cfg: ExperimentConfig, outdir: Path,
                    ylabel="|u_tau|")
     for bs in cfg.beta_stars:
         law = sliplaw.dynamic_moving_wall(cfg.gamma_star, bs, cfg.theta_star)
-        ctx = forms.AssemblyContext(
-            space,
-            forms.NitscheConfig(nu=cfg.nu, alpha=cfg.alpha, variant=cfg.variant),
-            law,
-            dirichlet=0.0,
-            delta=cfg.delta,
-            u_old=np.zeros(space.n_vdofs),
-        )
+        ctx = _context(cfg, space, law, dirichlet=0.0,
+                       delta=cfg.delta, u_old=np.zeros(space.n_vdofs))
         traj = solver.time_march(
             ctx, fespace.SystemState.zero(space), cfg.T, cfg.delta,
             probes=[(cfg.probe_x, cfg.probe_y)], cfg=_newton(cfg),
@@ -380,19 +377,10 @@ def run_convergence(cfg: ExperimentConfig, outdir: Path) -> dict:
 
     def solve_on(n):
         space = _space(cfg, n)
-        ctx = forms.AssemblyContext(
-            space,
-            forms.NitscheConfig(
-                nu=cfg.nu, alpha=cfg.alpha, variant=cfg.variant,
-                include_convection=False,
-            ),
-            law,
-            forcing=f,
-            dirichlet=verify.dirichlet_data(sol),
-            slip_forcing=g,
-        )
+        ctx = _context(cfg, space, law, include_convection=False, forcing=f,
+                       dirichlet=verify.dirichlet_data(sol), slip_forcing=g)
         state = solver.steady_solve(ctx, cfg=_newton(cfg))
-        return space, state, sol, cfg.nu, 0.0
+        return space, state, sol
 
     res = verify.convergence_study(cfg.convergence_ns, solve_on)
     keys = ("l2_u", "h1_u", "l2_p", "l2_un")
@@ -510,14 +498,7 @@ def main(argv=None) -> int:
         data = _apply_overrides(data, args.override)
         if args.force_experiment:
             data["experiment"] = args.force_experiment
-        cfg = ExperimentConfig.from_mapping(data)
-    except (ConfigError, forms.FormsError, mesh.MeshError,
-            sliplaw.SlipLawError, TypeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        summary = run(cfg)
+        summary = run(ExperimentConfig.from_mapping(data))
     except (ConfigError, forms.FormsError, mesh.MeshError,
             sliplaw.SlipLawError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -47,29 +47,28 @@ def p2_basis(points: np.ndarray):
     return val, grad
 
 
-def p1_basis(points: np.ndarray):
-    """Values and reference gradients of the 3 P1 Lagrange functions."""
+def p1_basis(points: np.ndarray) -> np.ndarray:
+    """Values (3, Q) of the 3 P1 Lagrange functions."""
     pts = np.atleast_2d(points)
     x, y = pts[:, 0], pts[:, 1]
-    val = np.stack([1.0 - x - y, x, y])
-    grad = np.broadcast_to(
-        np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])[:, None, :],
-        (3, pts.shape[0], 2),
-    ).copy()
-    return val, grad
+    return np.stack([1.0 - x - y, x, y])
 
 
-def triangle_quadrature(degree: int = 6):
-    """Positive-weight rule on the reference triangle, exact to `degree`.
+# Gauss-Legendre points per direction of both quadrature rules: the
+# interval rule is exact to degree 2 QUAD_POINTS - 1 = 7, the triangle
+# rule to total degree 2 QUAD_POINTS - 2 = 6
+QUAD_POINTS = 4
+
+
+def triangle_quadrature():
+    """Positive-weight rule on the reference triangle, exact to degree 6.
 
     Built from a tensor Gauss-Legendre rule through the Duffy (collapsed
     square) map x = s, y = t (1 - s); the extra factor (1 - s) raises the
     s-degree by one, so ng points per direction integrate total degree
     2 ng - 2 exactly.
     """
-    # the s-direction carries degree+1, so 2*ng - 1 >= degree + 1 is needed
-    ng = max(2, -(-(degree + 2) // 2))
-    gs, ws = np.polynomial.legendre.leggauss(ng)
+    gs, ws = np.polynomial.legendre.leggauss(QUAD_POINTS)
     gs = 0.5 * (gs + 1.0)
     ws = 0.5 * ws
     S, T = np.meshgrid(gs, gs, indexing="ij")
@@ -80,10 +79,9 @@ def triangle_quadrature(degree: int = 6):
     return np.column_stack([x, y]), w
 
 
-def interval_quadrature(degree: int = 6):
-    """Gauss-Legendre rule on [0,1], exact to `degree`."""
-    ng = max(1, (degree + 2) // 2)
-    g, w = np.polynomial.legendre.leggauss(ng)
+def interval_quadrature():
+    """Gauss-Legendre rule on [0,1], exact to degree 7."""
+    g, w = np.polynomial.legendre.leggauss(QUAD_POINTS)
     return 0.5 * (g + 1.0), 0.5 * w
 
 
@@ -239,7 +237,7 @@ class TaylorHoodSpace:
         # quadrature (exact to degree 6) and reference bases
         self.qpoints, self.qweights = triangle_quadrature()
         self.phi, self.dphi = p2_basis(self.qpoints)           # (6,Q), (6,Q,2)
-        self.psi = p1_basis(self.qpoints)[0]                   # (3,Q)
+        self.psi = p1_basis(self.qpoints)                      # (3,Q)
         self.fqpoints, self.fqweights = interval_quadrature()
 
         # affine geometry per cell
@@ -288,7 +286,7 @@ class TaylorHoodSpace:
         F = mesh.num_facets
         xi = self._facet_ref_points(np.arange(F), self.fqpoints).reshape(-1, 2)
         val, grad = p2_basis(xi)
-        pval, _ = p1_basis(xi)
+        pval = p1_basis(xi)
         # P2 values, physical P2 gradients and P1 values at facet points
         self.ftr = val.reshape(6, F, Qf).transpose(1, 0, 2).copy()      # (F,6,Qf)
         self.fgrad = np.einsum("afqj,fji->faqi", grad.reshape(6, F, Qf, 2),
@@ -322,10 +320,9 @@ class TaylorHoodSpace:
 
     # -- interpolation ------------------------------------------------------
 
-    def interpolate_velocity(self, f, t: float | None = None) -> np.ndarray:
-        """Nodal P2 interpolant of a vector field f(x[, t]) -> (N,2)."""
-        vals = f(self.vnode_coords) if t is None else f(self.vnode_coords, t)
-        vals = np.asarray(vals, dtype=float)
+    def interpolate_velocity(self, f) -> np.ndarray:
+        """Nodal P2 interpolant of a vector field f(x) -> (N,2)."""
+        vals = np.asarray(f(self.vnode_coords), dtype=float)
         if vals.shape != (self.n_vnodes, 2):
             raise ValueError(f"velocity field returned shape {vals.shape}")
         u = np.empty(self.n_vdofs)
@@ -333,11 +330,9 @@ class TaylorHoodSpace:
         u[1::2] = vals[:, 1]
         return u
 
-    def interpolate_pressure(self, f, t: float | None = None) -> np.ndarray:
-        """Nodal P1 interpolant of a scalar field f(x[, t]) -> (N,)."""
-        x = self.mesh.vertices
-        vals = f(x) if t is None else f(x, t)
-        vals = np.asarray(vals, dtype=float).reshape(-1)
+    def interpolate_pressure(self, f) -> np.ndarray:
+        """Nodal P1 interpolant of a scalar field f(x) -> (N,)."""
+        vals = np.asarray(f(self.mesh.vertices), dtype=float).reshape(-1)
         if vals.shape != (self.n_pdofs,):
             raise ValueError(f"pressure field returned shape {vals.shape}")
         return vals
@@ -392,20 +387,20 @@ class TaylorHoodSpace:
 
     # -- error norms ----------------------------------------------------------
 
-    def error_norms(self, state: SystemState, exact_u, exact_p, t: float = 0.0,
+    def error_norms(self, state: SystemState, exact_u, exact_p,
                     exact_grad_u=None) -> ErrorNorms:
         """Quadrature norms of the difference to an exact pair.
 
-        exact_u(x, t) -> (N,2) and exact_p(x, t) -> (N,); the H1 seminorm
-        needs the analytic gradient exact_grad_u(x, t) -> (N,2,2) and is NaN
-        without it.  Also returns the L2(Gamma_s) norms of the tangential
-        and normal trace error.
+        exact_u(x) -> (N,2) and exact_p(x) -> (N,); the H1 seminorm needs
+        the analytic gradient exact_grad_u(x) -> (N,2,2) and is NaN without
+        it.  Also returns the L2(Gamma_s) norms of the tangential and
+        normal trace error.
         """
         uh, guh = self.velocity_at_quadrature(state.u)
         ph = self.pressure_at_quadrature(state.p)
         X = self.xq.reshape(-1, 2)
-        ue = np.asarray(exact_u(X, t), dtype=float).reshape(self.xq.shape)
-        pe = np.asarray(exact_p(X, t), dtype=float).reshape(ph.shape)
+        ue = np.asarray(exact_u(X), dtype=float).reshape(self.xq.shape)
+        pe = np.asarray(exact_p(X), dtype=float).reshape(ph.shape)
 
         wdet = self.wdet
         du = uh - ue
@@ -413,14 +408,14 @@ class TaylorHoodSpace:
         l2p = np.sqrt(np.einsum("tq,tq->", wdet, (ph - pe) ** 2))
 
         if exact_grad_u is not None:
-            Ge = np.asarray(exact_grad_u(X, t), dtype=float).reshape(guh.shape)
+            Ge = np.asarray(exact_grad_u(X), dtype=float).reshape(guh.shape)
             h1u = np.sqrt(np.einsum("tq,tqci->", wdet, (guh - Ge) ** 2))
         else:
             h1u = np.nan
 
         # slip-boundary trace errors
         sl = FacetTable(self, self.slip_facets)
-        ve = np.asarray(exact_u(sl.points.reshape(-1, 2), t), dtype=float)
+        ve = np.asarray(exact_u(sl.points.reshape(-1, 2)), dtype=float)
         dvn, dvt = sl.split(sl.values(state.u) - ve.reshape(sl.points.shape))
         l2tau = np.sum(sl.w * (dvt * dvt).sum(axis=2))
         l2un = np.sum(sl.w * dvn**2)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -46,12 +47,17 @@ class NitscheConfig:
     include_convection: bool = True
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise FormsError("viscosity nu must be > 0")
+        if not 0 < self.nu < math.inf:
+            raise FormsError(f"viscosity nu must be finite and > 0, got {self.nu}")
         if self.variant not in ("symmetric", "antisymmetric"):
             raise FormsError(f"unknown variant {self.variant!r}")
-        if not (self.alpha == "auto" or float(self.alpha) > 0):
-            raise FormsError("penalty alpha must be > 0 or 'auto'")
+        if not (self.alpha == "auto" or 0 < float(self.alpha) < math.inf):
+            raise FormsError("penalty alpha must be finite and > 0, or 'auto'")
+
+
+def _check_delta(delta: Optional[float]) -> None:
+    if not (delta is None or 0 < delta < math.inf):
+        raise FormsError(f"time step delta must be finite and > 0, got {delta}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +340,7 @@ class AssemblyContext:
         self.forcing = forcing
         self.slip_forcing = slip_forcing
         self.t = float(t)
-        if delta is not None and delta <= 0:
-            raise FormsError(f"time step delta must be > 0, got {delta}")
+        _check_delta(delta)
         self.delta = delta
         self.u_old = u_old
         if space.dirichlet_vdofs.size and dirichlet is None:
@@ -417,8 +422,7 @@ class AssemblyContext:
 
     def set_timestep(self, delta: Optional[float]) -> None:
         """Change the time step (invalidates the cached linear operator)."""
-        if delta is not None and delta <= 0:
-            raise FormsError(f"time step delta must be > 0, got {delta}")
+        _check_delta(delta)
         self.delta = delta
         self._lin = None
         self._sys = None
@@ -647,14 +651,12 @@ class WallProfile:
     un: np.ndarray         # u . n
 
 
-def boundary_functionals(state: SystemState, ctx: AssemblyContext,
-                         t: Optional[float] = None) -> WallProfile:
-    """Sample |u_tau|, |sigma| and u.n at the slip-facet quadrature points."""
+def boundary_functionals(state: SystemState, ctx: AssemblyContext) -> WallProfile:
+    """Sample |u_tau|, |sigma(u_tau, ctx.t)| and u.n at the slip-facet
+    quadrature points."""
     sl = ctx.cache.slip
-    if t is None:
-        t = ctx.t
     un, ut = sl.split(sl.values(state.u))
-    sig = ctx.law.sigma(ut, t)
+    sig = ctx.law.sigma(ut, ctx.t)
     x = sl.points[:, :, 0].ravel()
     order = np.argsort(x, kind="stable")
     return WallProfile(

@@ -216,10 +216,12 @@ def tag_boundary(mesh: Mesh, predicate) -> Mesh:
     return dataclasses.replace(mesh, facet_tags=tags)
 
 
-def top_wall_tagger(tol: float = GEOM_TOL):
-    """Predicate tagging the wall y=1 as SLIP and the rest DIRICHLET."""
+def top_wall_tagger():
+    """Predicate tagging the wall y=1 (up to GEOM_TOL) as SLIP and the rest
+    DIRICHLET."""
 
     def predicate(mid):
-        return BoundaryTag.SLIP if abs(mid[1] - 1.0) <= tol else BoundaryTag.DIRICHLET
+        top = abs(mid[1] - 1.0) <= GEOM_TOL
+        return BoundaryTag.SLIP if top else BoundaryTag.DIRICHLET
 
     return predicate

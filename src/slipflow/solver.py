@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -65,8 +66,9 @@ class NewtonConfig:
     max_iter: int = 25
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ConfigError("Newton tolerances must be > 0")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ConfigError(f"Newton tolerances must be finite and > 0, got "
+                              f"abs_tol={self.abs_tol}, rel_tol={self.rel_tol}")
 
 
 @dataclasses.dataclass
@@ -360,10 +362,12 @@ def time_march(
     state; failures abort with the step index.  A probe outside the mesh
     raises MeshError before the first step.
     """
-    if delta <= 0:
-        raise ConfigError(f"time step delta must be > 0, got {delta}")
-    m_real = T / delta
-    m = int(round(m_real))
+    if not 0 < delta < math.inf:
+        raise ConfigError(f"time step delta must be finite and > 0, got {delta}")
+    if not math.isfinite(T / delta):
+        raise ConfigError(f"final time {T} over delta {delta} is not a finite "
+                          f"number of steps")
+    m = int(round(T / delta))
     if m < 1 or abs(m * delta - T) > 1e-9 * max(T, 1.0):
         raise ConfigError(
             f"final time {T} is not an integer multiple of delta {delta}"
@@ -383,7 +387,7 @@ def time_march(
     iters = []
     series[0] = _probe_values(state, E, proj)
     if record_profiles:
-        profiles.append(boundary_functionals(state, ctx, t=0.0))
+        profiles.append(boundary_functionals(state, ctx))
 
     for j in range(1, m + 1):
         t = j * delta

@@ -21,6 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .fespace import FacetTable, TaylorHoodSpace, block_indices, scatter_blocks
 from .forms import NitscheConfig, get_cache
+from .mesh import GEOM_TOL
 from .sliplaw import SlipLaw, navier
 
 
@@ -131,15 +132,15 @@ def korn_normal_trace_min_eig(space: TaylorHoodSpace, facets=None):
     return float(w[0]), V[:, 0]
 
 
-def wall_facets(space: TaylorHoodSpace, walls, tol: float = 1e-12) -> np.ndarray:
+def wall_facets(space: TaylorHoodSpace, walls) -> np.ndarray:
     """Boundary facet indices of named unit-square walls
-    ('top', 'bottom', 'left', 'right')."""
+    ('top', 'bottom', 'left', 'right'), up to GEOM_TOL."""
     lines = {"top": (1, 1.0), "bottom": (1, 0.0), "left": (0, 0.0), "right": (0, 1.0)}
     mids = space.mesh.facet_midpoints()
     hit = np.zeros(len(mids), dtype=bool)
     for w in walls:
         axis, value = lines[w]
-        hit |= np.abs(mids[:, axis] - value) <= tol
+        hit |= np.abs(mids[:, axis] - value) <= GEOM_TOL
     return np.flatnonzero(hit).astype(np.int64)
 
 
@@ -236,18 +237,13 @@ def resolve_alpha(config, law: SlipLaw, c_tr: float,
     return ALPHA_SAFETY * 2.0 * (c_lam * DIM * c_tr**2 + lam) / (c_lam - lam)
 
 
-def constants_report(space: TaylorHoodSpace, config=None, law=None) -> ConstantsReport:
-    """Compute every certified constant on one mesh/space."""
-    config = config or NitscheConfig(alpha="auto")
-    law = law or navier(1.0)
+def constants_report(space: TaylorHoodSpace) -> ConstantsReport:
+    """Compute every certified constant on one mesh/space; alpha_auto is
+    the automatic penalty of the monotone law navier(1) at nu = 1."""
     c_tr = inverse_trace_constant(space)
     c_trk = trace_constant_xh(space)
     korn, _ = korn_normal_trace_min_eig(space)
     cs = infsup_constant(space)
-    try:
-        alpha = resolve_alpha(dataclasses.replace(config, alpha="auto"), law,
-                              c_tr, c_trk)
-    except StabilityError:
-        alpha = float("nan")
+    alpha = resolve_alpha(NitscheConfig(alpha="auto"), navier(1.0), c_tr, c_trk)
     return ConstantsReport(c_tr=c_tr, c_trK=c_trk, korn_min_eig=korn, infsup=cs,
                            alpha_auto=alpha)

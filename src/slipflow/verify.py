@@ -248,8 +248,9 @@ class StudyResult:
 
 
 def convergence_study(ns, solve_on) -> StudyResult:
-    """Run `solve_on(n) -> (space, state, sol, nu, t)` on nested levels and
-    tabulate errors with observed log2 rates."""
+    """Run `solve_on(n) -> (space, state, sol)` on nested levels and
+    tabulate the errors against the exact pair sol at t = 0 with observed
+    log2 rates."""
     ns = list(ns)
     if len(ns) < 3:
         raise ConfigError("a convergence study needs at least 3 mesh levels")
@@ -258,10 +259,8 @@ def convergence_study(ns, solve_on) -> StudyResult:
             raise ConfigError(f"levels must be nested by factor 2, got {a} -> {b}")
     rows = []
     for n in ns:
-        space, state, sol, nu, t = solve_on(n)
-        en = space.error_norms(
-            state, sol.u, sol.p, t=t, exact_grad_u=sol.grad_u
-        )
+        space, state, sol = solve_on(n)
+        en = space.error_norms(state, sol.u, sol.p, exact_grad_u=sol.grad_u)
         rows.append(
             StudyRow(n, 1.0 / n, en.l2_u, en.h1_u, en.l2_p, en.l2_un)
         )
@@ -276,12 +275,9 @@ def convergence_study(ns, solve_on) -> StudyResult:
     return StudyResult(rows=rows, rates=rates)
 
 
-def interpolation_errors(space: TaylorHoodSpace, sol: ManufacturedSolution,
-                         t: float = 0.0):
-    """Error norms of the nodal interpolant of the exact pair (the
+def interpolation_errors(space: TaylorHoodSpace, sol: ManufacturedSolution):
+    """Error norms at t = 0 of the nodal interpolant of the exact pair (the
     benchmark the discrete solution is compared against)."""
-    state = SystemState(
-        space.interpolate_velocity(sol.u, t),
-        space.interpolate_pressure(sol.p, t),
-    )
-    return space.error_norms(state, sol.u, sol.p, t=t, exact_grad_u=sol.grad_u)
+    state = SystemState(space.interpolate_velocity(sol.u),
+                        space.interpolate_pressure(sol.p))
+    return space.error_norms(state, sol.u, sol.p, exact_grad_u=sol.grad_u)

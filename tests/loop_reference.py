@@ -95,11 +95,9 @@ def slip_jacobian(ctx, u):
     return _scatter(space, rows, cols, data)
 
 
-def boundary_functionals(state, ctx, t=None):
+def boundary_functionals(state, ctx):
     """(x, |u_tau|, |sigma|, u.n) sorted by x, as plain arrays."""
     space = ctx.space
-    if t is None:
-        t = ctx.t
     xs, uts, sgs, uns = [], [], [], []
     for f in space.slip_facets:
         tcell = space.mesh.facet_cells[f]
@@ -111,7 +109,7 @@ def boundary_functionals(state, ctx, t=None):
             v = uq[q]
             vn = v @ n
             vt = v - vn * n
-            sig = ctx.law.sigma(vt, t)
+            sig = ctx.law.sigma(vt, ctx.t)
             xs.append(space.fpoints[f, q, 0])
             uts.append(np.linalg.norm(vt))
             sgs.append(np.linalg.norm(sig))

@@ -180,7 +180,7 @@ def test_criterion_05_manufactured_convergence():
             NitscheConfig(alpha=10.0, include_convection=False),
             law, forcing=f, dirichlet=dirichlet_data(sol), slip_forcing=g,
         )
-        return space, steady_solve(ctx), sol, 1.0, 0.0
+        return space, steady_solve(ctx), sol
 
     res = convergence_study([16, 32, 64], solve_on)
     elapsed = time.perf_counter() - t0

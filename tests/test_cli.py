@@ -308,3 +308,70 @@ def test_wrong_typed_config_value_exits_3(tmp_path_factory, override):
         assert main(["solve", str(cfgp), "-o", f"{key}={raw}"]) == 3
     assert f"config key {key!r} must be" in err.getvalue()
     assert not (root / "out").exists()
+
+
+NON_FINITE = ("NaN", "Infinity", "-Infinity")
+# fields that take real numbers: floats, lists of floats and alpha
+REAL_KEYS = sorted(k for k, t in FIELD_TYPES.items()
+                   if t in ("float", "list[float]", "object"))
+
+
+@st.composite
+def non_finite_override(draw):
+    key = draw(st.sampled_from(REAL_KEYS))
+    raw = draw(st.sampled_from(NON_FINITE))
+    if FIELD_TYPES[key] == "list[float]":
+        raw = draw(st.sampled_from([f"[{raw}]", f"[0.5, {raw}]"]))
+    return key, raw
+
+
+@given(override=non_finite_override())
+@example(override=("nu", "NaN"))
+@example(override=("delta", "NaN"))
+@example(override=("T", "NaN"))
+@example(override=("epsilon", "NaN"))
+@example(override=("abs_tol", "NaN"))
+@settings(max_examples=60, deadline=None)
+def test_non_finite_config_value_exits_3(tmp_path_factory, override):
+    root = tmp_path_factory.mktemp("finite")
+    cfgp = write_config(root, {
+        "experiment": "stick_slip", "n": 2, "T": 0.02, "delta": 0.01,
+        "snapshots": [0.02], "gamma_stars": [0.0], "outdir": str(root / "out")})
+    key, raw = override
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["solve", str(cfgp), "-o", f"{key}={raw}"]) == 3
+    assert f"config key {key!r} must be" in err.getvalue()
+    assert not (root / "out").exists()
+
+
+def test_config_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"experiment": "dynamic"}).encode())
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        parse_config(path)
+    assert main(["solve", str(path)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@given(target=st.floats(0.5, 5.0),
+       schedule=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=4))
+@example(target=1.0, schedule=[0.5])
+@example(target=1.0, schedule=[1.0, 0.5])
+@settings(max_examples=30, deadline=None)
+def test_schedule_that_misses_the_target_exits_3(tmp_path_factory, target,
+                                                 schedule):
+    if schedule[-1] == target:
+        schedule = schedule + [target / 2.0]
+    root = tmp_path_factory.mktemp("schedule")
+    cfgp = write_config(root, {
+        "experiment": "smooth_nonmonotone", "n": 2, "lambdas": [target],
+        "lambda_schedule": schedule, "outdir": str(root / "out")})
+    calls = []
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(cli.solver, "newton_solve",
+                   lambda *args, **kwargs: calls.append(args))
+        assert main(["solve", str(cfgp)]) == 3
+    assert f"must end at the target amplitude {target}" in err.getvalue()
+    assert calls == []

@@ -21,7 +21,7 @@ from slipflow.verify import taylor_green
 
 
 def test_cell_quadrature_degree6_exact():
-    qp, qw = triangle_quadrature(6)
+    qp, qw = triangle_quadrature()
     assert np.all(qw > 0)
     assert abs(qw.sum() - 0.5) <= 1e-14
     for a in range(7):
@@ -34,7 +34,7 @@ def test_cell_quadrature_degree6_exact():
 
 
 def test_facet_quadrature_degree6_exact():
-    fq, fw = interval_quadrature(6)
+    fq, fw = interval_quadrature()
     assert np.all(fw > 0)
     for k in range(7):
         assert abs(np.sum(fw * fq**k) - 1.0 / (k + 1)) <= 1e-14
@@ -126,7 +126,7 @@ def test_interpolate_taylor_green_center_node():
     msh = tag_boundary(build_unit_square(4), top_wall_tagger())
     sp = TaylorHoodSpace(msh)
     sol = taylor_green(1.0)
-    u = sp.interpolate_velocity(sol.u, 0.0)
+    u = sp.interpolate_velocity(sol.u)
     i = np.flatnonzero(
         (np.abs(sp.vnode_coords[:, 0] - 0.5) < 1e-14)
         & (np.abs(sp.vnode_coords[:, 1] - 0.5) < 1e-14)
@@ -163,14 +163,14 @@ def test_error_norms_reproduces_discrete_pair(space8):
     # comparing a discrete pair against its own point evaluation must give
     # zero error in every norm; the pressure is linear, so P1 holds it
     sol = taylor_green(1.0)
-    p_lin = lambda x, t=0.0: 1.0 + 2.0 * x[:, 0] - 3.0 * x[:, 1]
+    p_lin = lambda x: 1.0 + 2.0 * x[:, 0] - 3.0 * x[:, 1]
     state = SystemState(
-        space8.interpolate_velocity(sol.u, 0.0),
-        space8.interpolate_pressure(p_lin, 0.0),
+        space8.interpolate_velocity(sol.u),
+        space8.interpolate_pressure(p_lin),
     )
     en = space8.error_norms(
         state,
-        lambda x, t: (space8.point_operator(x) @ state.u).reshape(-1, 2),
+        lambda x: (space8.point_operator(x) @ state.u).reshape(-1, 2),
         p_lin,
     )
     assert en.l2_u <= 1e-12

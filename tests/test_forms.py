@@ -251,8 +251,8 @@ def test_consistency_rate_interpolated_exact():
             law, forcing=f, dirichlet=dirichlet_data(sol), slip_forcing=g,
         )
         st = SystemState(
-            space.interpolate_velocity(sol.u, 0.0),
-            space.interpolate_pressure(sol.p, 0.0),
+            space.interpolate_velocity(sol.u),
+            space.interpolate_pressure(sol.p),
         )
         norms.append(np.linalg.norm(assemble_residual(st, ctx)))
     rates = np.log2(np.array(norms[:-1]) / np.array(norms[1:]))
@@ -262,8 +262,8 @@ def test_consistency_rate_interpolated_exact():
 def test_variants_differ_by_transposed_term_only(space8, rng):
     sol = taylor_green(1.0)
     st = SystemState(
-        space8.interpolate_velocity(sol.u, 0.0),
-        space8.interpolate_pressure(sol.p, 0.0),
+        space8.interpolate_velocity(sol.u),
+        space8.interpolate_pressure(sol.p),
     )
     ctx_s = make_ctx(space8, variant="symmetric")
     ctx_a = make_ctx(space8, variant="antisymmetric")

@@ -100,6 +100,25 @@ def test_tresca_rejects_bad_epsilon():
         stick_slip_regularized(1.0, 1.0, -1e-3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", [
+    lambda x: stick_slip_regularized(1.0, 1.0, x),
+    lambda x: stick_slip_regularized(1.0, x, 2e-4),
+    lambda x: stick_slip_regularized(x, 1.0, 2e-4),
+    lambda x: tresca_regularized(x, 2e-4),
+    lambda x: fang_regularized(1.6, 1.5, 10.0, x),
+    lambda x: dynamic_moving_wall(1.0, x, 0.01),
+    lambda x: dynamic_moving_wall(1.0, 1.0, x),
+    lambda x: power_law(x, 3.0),
+    lambda x: leroux_rajagopal(1.0, x, 0.001, -0.75),
+], ids=["stick_slip-epsilon", "stick_slip-mu_star", "stick_slip-gamma_star",
+        "tresca-mu_star", "fang-epsilon", "dynamic-beta_star",
+        "dynamic-theta_star", "power_law-c", "leroux-b"])
+def test_non_finite_law_parameter_is_rejected(make, bad):
+    with pytest.raises(SlipLawError):
+        make(bad)
+
+
 def test_fang_threshold_values():
     law = fang_regularized(**PAPER_FANG)
     # mu(0) = a, mu(inf) = b

@@ -154,6 +154,31 @@ def test_time_grid_must_divide(space4):
         time_march(ctx, SystemState.zero(space4), T=0.05, delta=-0.01)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_settings_raise_typed_errors(space4, bad):
+    with pytest.raises(ConfigError):
+        NewtonConfig(abs_tol=bad)
+    with pytest.raises(ConfigError):
+        NewtonConfig(rel_tol=bad)
+    with pytest.raises(FormsError):
+        NitscheConfig(nu=bad)
+    with pytest.raises(FormsError):
+        NitscheConfig(alpha=bad)
+    with pytest.raises(FormsError):
+        AssemblyContext(space4, NitscheConfig(), navier(1.0), dirichlet=0.0,
+                        delta=bad, u_old=np.zeros(space4.n_vdofs))
+    ctx = AssemblyContext(space4, NitscheConfig(), navier(1.0), dirichlet=0.0,
+                          delta=0.01, u_old=np.zeros(space4.n_vdofs))
+    with pytest.raises(FormsError):
+        ctx.set_timestep(bad)
+    with pytest.raises(ConfigError):
+        time_march(ctx, SystemState.zero(space4), T=bad, delta=0.01)
+    with pytest.raises(ConfigError):
+        time_march(ctx, SystemState.zero(space4), T=0.02, delta=bad)
+    with pytest.raises(ConfigError, match="not a finite number of steps"):
+        time_march(ctx, SystemState.zero(space4), T=0.02, delta=1e-320)
+
+
 @pytest.fixture(scope="module")
 def rest2():
     space = TaylorHoodSpace(tag_boundary(build_unit_square(2), top_wall_tagger()))

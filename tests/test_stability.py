@@ -320,9 +320,10 @@ def test_resolve_alpha_without_slip_wall_is_monotone():
     # monotone one
     space = no_slip_space(24)
     law = navier(-1.0)
-    rep = constants_report(space, NitscheConfig(alpha="auto"), law)
+    rep = constants_report(space)
     assert rep.c_trK == 0.0
-    assert rep.alpha_auto == 1.1 * 2 * 2 * rep.c_tr**2
+    assert resolve_alpha(NitscheConfig(alpha="auto"), law, rep.c_tr, rep.c_trK) \
+        == rep.alpha_auto == 1.1 * 2 * 2 * rep.c_tr**2
     assert resolve_alpha(NitscheConfig(alpha="auto"), law, 3.0, 0.0) == \
         resolve_alpha(NitscheConfig(alpha="auto"), navier(1.0), 3.0)
 

@@ -173,8 +173,8 @@ def test_consistency_residual_decays_under_refinement():
             law, forcing=f, dirichlet=dirichlet_data(sol), slip_forcing=g,
         )
         st = SystemState(
-            space.interpolate_velocity(sol.u, 0.0),
-            space.interpolate_pressure(sol.p, 0.0),
+            space.interpolate_velocity(sol.u),
+            space.interpolate_pressure(sol.p),
         )
         norms.append(np.linalg.norm(assemble_residual(st, ctx)))
     assert norms[1] <= 0.4 * norms[0]
@@ -237,7 +237,7 @@ def test_convergence_study_exact_discrete_pair():
             slip_forcing=g,
         )
         state = steady_solve(ctx)
-        return space, state, P2Pair, 1.0, 0.0
+        return space, state, P2Pair
 
     res = convergence_study([4, 8, 16], solve_on)
     for row in res.rows:
