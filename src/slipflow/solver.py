@@ -31,6 +31,11 @@ LS_MAX = 8
 # accept a step computed with a reused factorization only if it
 # contracts the residual at least this much; otherwise refactorize
 CHORD_ACCEPT = 0.25
+# steps with a reused factorization are mixed with up to this many
+# earlier updates of the same factorization (Anderson, type II)
+ANDERSON_DEPTH = 3
+# a time step after the first starts Newton from 2 u_{j-1} - u_{j-2}
+EXTRAPOLATE = True
 # a solve whose residual against the Jacobian exceeds this, relative to
 # the right-hand side, gets one step of iterative refinement; if it
 # still does, A' is factorized again with partial pivoting
@@ -91,9 +96,10 @@ class NewtonReport:
 class FactorCache:
     """Holds the last factorization for reuse across time steps.
 
-    Reused factors only ever produce candidate updates; acceptance is
-    always judged on the true nonlinear residual, so reuse affects cost,
-    never the converged solution.
+    Reused factors, mixed or not, only ever produce candidate updates;
+    acceptance is always judged on the true nonlinear residual, so reuse
+    affects cost, never the converged solution.  The mixing history is
+    not carried: it belongs to one newton_solve call.
     """
 
     def __init__(self):
@@ -176,6 +182,57 @@ class _Factor:
         return x
 
 
+class _Mixer:
+    """Anderson mixing, type II, of the updates of one factorization.
+
+    With the factorization M fixed, the update d(x) = -M^-1 R(x) makes
+    the fixed-point map x + d(x).  From the last pairs (x_i, d_i) of one
+    factorization the mixed update is d_k - (dX + dF) gamma, dX and dF
+    the differences of consecutive x_i and d_i, and gamma the least
+    squares solution of dF gamma = d_k (H. F. Walker & P. Ni, SIAM
+    J. Numer. Anal. 49(4), 2011).  On an affine map with depth >= the
+    dimension it reaches the fixed point as GMRES on M^-1 A does.
+
+    The differences of the last `depth` + 1 pairs are kept in (N, depth)
+    arrays, the oldest overwritten first; a pair made with another
+    factorization clears them.
+    """
+
+    def __init__(self, n: int, depth: int):
+        self.dX = np.empty((n, depth), order="F")
+        self.dF = np.empty((n, depth), order="F")
+        self.clear()
+
+    def clear(self):
+        self.x = self.d = self.key = None
+        self.cols = self.next = 0
+
+    @property
+    def pairs(self) -> int:
+        """How many (x_i, d_i) pairs the history holds."""
+        return 0 if self.x is None else self.cols + 1
+
+    def mix(self, x: np.ndarray, d: np.ndarray, key) -> np.ndarray:
+        """Keep the pair (x, d), made with the factorization `key`, and
+        return the update mixed with the earlier pairs of that key."""
+        depth = self.dX.shape[1]
+        if key != self.key:
+            self.clear()
+            self.key = key
+        elif depth:
+            i = self.next
+            np.subtract(x, self.x, out=self.dX[:, i])
+            np.subtract(d, self.d, out=self.dF[:, i])
+            self.next = (i + 1) % depth
+            self.cols = min(self.cols + 1, depth)
+        self.x, self.d = x, d
+        if not self.cols:
+            return d
+        dF = self.dF[:, :self.cols]
+        gamma = np.linalg.lstsq(dF, d)[0]
+        return d - (self.dX[:, :self.cols] + dF) @ gamma
+
+
 def newton_solve(
     ctx: AssemblyContext,
     guess: Optional[SystemState] = None,
@@ -190,13 +247,15 @@ def newton_solve(
     e_p-mean before the first residual, and every Newton update keeps
     both.  A FactorCache passed in (the time marcher does) carries the
     factorization across calls.  Every iteration steps along an LU
-    direction: with a reused factorization it tries the full step only,
-    which is kept if it contracts the true residual by CHORD_ACCEPT or
-    meets tol and otherwise frees the factorization, so the iteration
-    is retried with a fresh one.  A fresh factorization backtracks up to
-    LS_MAX halvings and keeps the best finite trial.  A non-finite
-    Jacobian, or a line search whose every trial has a non-finite
-    residual, raises SolverError.
+    direction.  With a reused factorization that direction is mixed with
+    the earlier ones of the same factorization in this call (_Mixer,
+    ANDERSON_DEPTH); the full step only is tried, kept if it contracts
+    the true residual by CHORD_ACCEPT or meets tol, and otherwise the
+    factorization is freed, so the iteration is retried with a fresh
+    one.  A fresh factorization takes the LU direction as it is,
+    backtracks up to LS_MAX halvings and keeps the best finite trial.
+    A non-finite Jacobian, or a line search whose every trial has a
+    non-finite residual, raises SolverError.
     """
     state = guess.copy() if guess is not None else SystemState.zero(ctx.space)
     ctx.project_dirichlet(state)
@@ -209,6 +268,7 @@ def newton_solve(
     rnorm = float(np.linalg.norm(r))
     report = NewtonReport(0, [rnorm], [], False)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
+    mixer = _Mixer(r.size, ANDERSON_DEPTH)
     log.info("step %d iter 0 resid %.6e ls 0", step_label, rnorm)
 
     while rnorm > tol:
@@ -230,8 +290,14 @@ def newton_solve(
             factors.factor = _Factor(J, ctx, report)
             del J   # freeing the factor frees its Jacobian
         d = factors.factor.solve(-r, report)
-
         x = ctx.pack(state)
+        # report.factorizations numbers the factorization d was made with
+        # (a fallback inside the solve is a new one): a fresh one has no
+        # earlier pairs, so its direction is left as it is.  A non-finite
+        # d is never mixed into a later step: its trials are all
+        # non-finite, so it is rejected (reused) or raises (fresh).
+        d = mixer.mix(x, d, report.factorizations)
+
         lam = 1.0
         best = None
         for halving in range(1 if reused else LS_MAX + 1):
@@ -358,9 +424,11 @@ def time_march(
     """March the backward Euler scheme from u0 to time T.
 
     T must be an integer multiple of delta (rejected otherwise rather than
-    silently truncated).  Each step warm-starts Newton from the previous
-    state; failures abort with the step index.  A probe outside the mesh
-    raises MeshError before the first step.
+    silently truncated).  Step j solves with the data of u_{j-1} and
+    starts Newton from the linear extrapolation 2 u_{j-1} - u_{j-2} of
+    the last two states, u and p (EXTRAPOLATE); the first step starts
+    from u0.  Failures abort with the step index.  A probe outside the
+    mesh raises MeshError before the first step.
     """
     if not 0 < delta < math.inf:
         raise ConfigError(f"time step delta must be finite and > 0, got {delta}")
@@ -389,15 +457,21 @@ def time_march(
     if record_profiles:
         profiles.append(boundary_functionals(state, ctx))
 
+    prev = None
     for j in range(1, m + 1):
         t = j * delta
+        # the step data is u_{j-1}; only Newton's start is extrapolated
         ctx.advance(t, state.u.copy())
+        guess = state
+        if EXTRAPOLATE and prev is not None:
+            guess = SystemState(2.0 * state.u - prev.u, 2.0 * state.p - prev.p)
         try:
-            state, report = newton_solve(
-                ctx, guess=state, cfg=cfg, step_label=j, factors=factors
+            new, report = newton_solve(
+                ctx, guess=guess, cfg=cfg, step_label=j, factors=factors
             )
         except SolverError as exc:
             raise _prefixed(exc, f"time step {j} (t = {t:.6g}) failed")
+        prev, state = state, new
         iters.append(report.iterations)
         energies.append(energy_balance(state, ctx))
         series[j] = _probe_values(state, E, proj)

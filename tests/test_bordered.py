@@ -14,6 +14,8 @@ A with the mean-pressure multiplier row and column and is regular.
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loop_reference import jacobian as multiplier_jacobian
 from test_cell_kernels import make_ctx, random_state
@@ -280,10 +282,10 @@ def test_fallback_when_refinement_fails(space8, monkeypatch):
 
 # -- non-finite guards and error context ----------------------------------------
 
-def power_law_ctx(space, delta=None):
+def power_law_ctx(space, delta=None, c=1.0, r=1.5):
     # r < 2: the slip law's Jacobian is NaN at rest
     return AssemblyContext(
-        space, NitscheConfig(alpha=10.0), power_law(1.0, 1.5),
+        space, NitscheConfig(alpha=10.0), power_law(c, r),
         forcing=lambda x, t: np.column_stack([20.0 * x[:, 1], np.zeros(len(x))]),
         dirichlet=0.0, delta=delta,
         u_old=None if delta is None else np.zeros(space.n_vdofs),
@@ -294,6 +296,24 @@ def test_non_finite_jacobian_is_typed_error(space4):
     with pytest.raises(SolverError, match="step 3, Newton iteration 1: the "
                                           "Jacobian is not finite"):
         newton_solve(power_law_ctx(space4), step_label=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(1e-6, 1e6),
+       r=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
+def test_singular_power_law_from_rest_never_converges(space4, c, r):
+    # every power law with 1 < r < 2 is singular at rest: a solve from
+    # rest fails at its first Jacobian, steady or as the first time step
+    # (which starts from u0, not from an extrapolation)
+    with pytest.raises(SolverError) as exc:
+        newton_solve(power_law_ctx(space4, c=c, r=r))
+    assert type(exc.value) is SolverError
+    assert str(exc.value) == "step 0, Newton iteration 1: the Jacobian is not finite"
+    with pytest.raises(SolverError) as exc:
+        time_march(power_law_ctx(space4, delta=0.01, c=c, r=r),
+                   SystemState.zero(space4), T=0.02, delta=0.01)
+    assert str(exc.value) == ("time step 1 (t = 0.01) failed: step 1, Newton "
+                              "iteration 1: the Jacobian is not finite")
 
 
 def test_line_search_skips_non_finite_trial(space8, monkeypatch):
