@@ -130,6 +130,9 @@ class ExperimentConfig:
             )
         if cfg.n < 1:
             raise ConfigError("mesh resolution n must be >= 1")
+        if cfg.max_iter < 1:
+            raise ConfigError(
+                f"config key 'max_iter' must be >= 1, got {cfg.max_iter}")
         if cfg.diagonal not in ("right", "crossed"):
             raise ConfigError(f"unknown diagonal {cfg.diagonal!r}")
         if not (cfg.alpha == "auto" or cfg.alpha > 0):
@@ -255,7 +258,7 @@ def _steady(cfg, space, law, lam_star, sol, dirichlet):
     except solver.SolverError:
         if len(schedule) > 1:
             raise
-        ramp = list(np.linspace(lam_star / 5.0, lam_star, 5))
+        ramp = np.linspace(lam_star / 5.0, lam_star, 5).tolist()
         log.warning("direct solve failed at amplitude %g; ramping %s",
                     lam_star, ramp)
         return solver.steady_solve(make_ctx, ramp, cfg=_newton(cfg)), ctx

@@ -257,6 +257,12 @@ class TaylorHoodSpace:
         self.ref_table = np.hstack(
             [self.phi, self.dphi[:, :, 0], self.dphi[:, :, 1]]
         )                                                       # (6,3Q)
+        # reference tensor K of the skew convection form (forms._skew):
+        # K[(e,j),(a,b)] = sum_q w_q phi_e d_j phi_b phi_a, less the same
+        # with a and b swapped, so K is antisymmetric in (a, b)
+        t0 = np.einsum("q,eq,bqj,aq->ejab", self.qweights, self.phi,
+                       self.dphi, self.phi)
+        self.skew_tensor = (t0 - t0.swapaxes(2, 3)).reshape(12, 36)
         # physical quadrature points
         self.xq = p[:, None, 0, :] + np.einsum(
             "tij,qj->tqi", J, self.qpoints
@@ -365,18 +371,13 @@ class TaylorHoodSpace:
 
     # -- bulk evaluation at quadrature points --------------------------------
 
-    def reference_velocity(self, u: np.ndarray) -> np.ndarray:
-        """Values and reference gradients at all cell quad points, component
-        major: (T,2,3,Q) with [t, c, 0] = u_c and [t, c, 1 + j] = d u_c /
-        d xi_j."""
-        T, Q = self.wdet.shape
-        U = u[self.cell_vdofs.reshape(T, 6, 2).transpose(0, 2, 1)]  # (T,2,6)
-        return (U.reshape(2 * T, 6) @ self.ref_table).reshape(T, 2, 3, Q)
-
     def velocity_at_quadrature(self, u: np.ndarray):
         """Values (T,Q,2) and gradients (T,Q,2,2) at all cell quad points;
         grads[t, q, c, i] = d u_c / d x_i."""
-        vg = self.reference_velocity(u)
+        T, Q = self.wdet.shape
+        U = u[self.cell_vdofs.reshape(T, 6, 2).transpose(0, 2, 1)]  # (T,2,6)
+        # values and reference gradients, component major: (T,c,3,Q)
+        vg = (U.reshape(2 * T, 6) @ self.ref_table).reshape(T, 2, 3, Q)
         # the geometry is affine: grad_x = invJ^T grad_xi
         grads = np.swapaxes(self.invJ, 1, 2)[:, None] @ vg[:, :, 1:]   # (T,c,i,Q)
         return vg[:, :, 0].transpose(0, 2, 1), grads.transpose(0, 3, 1, 2)

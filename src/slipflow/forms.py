@@ -135,18 +135,6 @@ class FormCache:
 
         self.G_c = (self.B_div - self.B_n).tocsr()   # paper continuity operator
 
-        # reference table of the convection Jacobian, weighted by the
-        # quadrature weights; columns (a, b), rows: phi_a phi_b (q), then
-        # -d_j phi_a phi_b and phi_a d_j phi_b - d_j phi_a phi_b (j, q)
-        qw, dphi = space.qweights, space.dphi
-        Q = qw.size
-        pp = np.einsum("q,aq,bq->qab", qw, phi, phi)
-        dp = np.einsum("q,aqj,bq->jqab", qw, dphi, phi)
-        pd = np.einsum("q,aq,bqj->jqab", qw, phi, dphi)
-        self.conv_table = np.concatenate(
-            [pp.reshape(Q, 36), -dp.reshape(2 * Q, 36), (pd - dp).reshape(2 * Q, 36)]
-        )                                                           # (5Q,36)
-
     @functools.cached_property
     def pattern(self) -> "JacobianPattern":
         """The Jacobian sparsity pattern, built on the first Jacobian."""
@@ -497,47 +485,39 @@ class AssemblyContext:
 # nonlinear pieces
 # ---------------------------------------------------------------------------
 
-def _transport_velocity(space: TaylorHoodSpace, u: np.ndarray):
-    """Component-major values and reference gradients of u (T,2,3,Q)
-    and the reference components invJ u (T,2,Q) of u as a transport
-    velocity: (u.grad) = sum_j wref_j d / d xi_j."""
-    vg = space.reference_velocity(u)
-    return vg, space.invJ @ vg[:, :, 0]
+def _skew(space: TaylorHoodSpace, u: np.ndarray):
+    """Cell values U (T,6,2) of u, S = 1/2 detJ invJ (T,2,2) and the
+    antisymmetric H (T,6,6) of u as transport velocity: btilde(u, v, w)
+    sums w_c^T H v_c over the cells and components c.  H = (U S^T) K,
+    the cell values of 1/2 detJ invJ u contracted with the reference
+    tensor K = space.skew_tensor."""
+    U = u[space.cell_vdofs].reshape(-1, 6, 2)
+    S = (0.5 * space.detJ)[:, None, None] * space.invJ
+    H = (U @ np.swapaxes(S, 1, 2)).reshape(-1, 12) @ space.skew_tensor
+    return U, S, H.reshape(-1, 6, 6)
 
 
 def _convection_residual(space: TaylorHoodSpace, u: np.ndarray) -> np.ndarray:
     """btilde(u, u, v) for all velocity test functions v."""
-    T, Q = space.wdet.shape
-    vg, wref = _transport_velocity(space, u)
-    v, dv = vg[:, :, 0], vg[:, :, 1:]
-    ww = (0.5 * space.wdet)[:, None] * wref                     # (T,j,Q)
-    # tested with phi_a: the values rows carry (u.grad)u_c, the gradient
-    # rows -(u.grad) phi_a u_c
-    y = np.empty((T, 2, 3, Q))
-    y[:, :, 0] = ww[:, None, 0] * dv[:, :, 0] + ww[:, None, 1] * dv[:, :, 1]
-    y[:, :, 1:] = -ww[:, None] * v[:, :, None]
-    loc = (y.reshape(2 * T, 3 * Q) @ space.ref_table.T).reshape(T, 2, 6)
-    return np.bincount(space.cell_vdofs.ravel(), loc.transpose(0, 2, 1).ravel(),
+    U, _, H = _skew(space, u)
+    return np.bincount(space.cell_vdofs.ravel(), (H @ U).ravel(),
                        minlength=space.n_vdofs)
 
 
 def _convection_jacobian(cache: FormCache, u: np.ndarray) -> np.ndarray:
-    """Local (T,6,2,6,2) blocks of the derivative of btilde(u, u, v) in u:
-    1/2 [((w.grad)u, v) + ((u.grad)w, v) - ((w.grad)v, u) - ((u.grad)v, w)]
-    for v = phi_a e_c and w = phi_b e_d."""
+    """Local (T,6,2,6,2) blocks of the derivative of btilde(u, u, v) in u,
+    btilde(u, w, v) + btilde(w, u, v) for v = phi_a e_c and w = phi_b e_d:
+    H[a, b] delta_cd, plus K contracted with u_c and then with S[:, d]."""
     space = cache.space
-    T, Q = space.wdet.shape
-    vg, wref = _transport_velocity(space, u)
-    invJ = space.invJ
-    # one row (t, c, d) per local block against the rows of conv_table
-    x = np.zeros((T, 2, 2, 5, Q))
-    x[:, :, :, 0] = np.swapaxes(invJ, 1, 2)[:, None] @ vg[:, :, 1:]    # d_d u_c
-    x[:, :, :, 1:3] = vg[:, :, None, None, 0] * np.swapaxes(invJ, 1, 2)[:, None, :, :, None]
-    x[:, 0, 0, 3:] = wref
-    x[:, 1, 1, 3:] = wref
-    loc = (x.reshape(4 * T, 5 * Q) @ cache.conv_table).reshape(T, 2, 2, 6, 6)
-    loc *= (0.5 * space.detJ)[:, None, None, None, None]
-    return loc.transpose(0, 3, 1, 4, 2)
+    U, S, H = _skew(space, u)
+    T = len(U)
+    # sum over b' of K[(b,j),(a,b')] u_c[b'], rows (t, c), columns (b, j, a)
+    KU = np.swapaxes(U, 1, 2).reshape(2 * T, 6) @ space.skew_tensor.reshape(72, 6).T
+    # then sum over j of S[j, d]: loc (T,c,b,d,a)
+    loc = np.swapaxes(S, 1, 2)[:, None, None] @ KU.reshape(T, 2, 6, 2, 6)
+    loc[:, 0, :, 0] += np.swapaxes(H, 1, 2)
+    loc[:, 1, :, 1] += np.swapaxes(H, 1, 2)
+    return loc.transpose(0, 4, 1, 2, 3)
 
 
 def _slip_traction(ctx: AssemblyContext, u_tau: np.ndarray) -> np.ndarray:
@@ -624,16 +604,12 @@ def assemble_jacobian(state: SystemState, ctx: AssemblyContext) -> sp.csc_matrix
 # ---------------------------------------------------------------------------
 
 def trilinear_skew(space: TaylorHoodSpace, u, v, w) -> float:
-    """Skew convective form 1/2 [ ((u.grad)v, w) - ((u.grad)w, v) ]; for
-    v equal to w the two terms are the same sum and cancel exactly."""
-    (uv, _), (vv, gv), (wv, gw) = (space.velocity_at_quadrature(x)
-                                   for x in (u, v, w))
-
-    def term(grads, other):
-        adv = uv[..., 0, None] * grads[..., 0] + uv[..., 1, None] * grads[..., 1]
-        return np.sum(space.wdet * np.vecdot(adv, other))
-
-    return 0.5 * float(term(gv, wv) - term(gw, vv))
+    """Skew convective form 1/2 [ ((u.grad)v, w) - ((u.grad)w, v) ], as the
+    difference of two one-sided sums; for v equal to w they are the same
+    sum and cancel exactly."""
+    _, _, H = _skew(space, u)
+    V, W = (x[space.cell_vdofs].reshape(-1, 6, 2) for x in (v, w))
+    return 0.5 * float(np.sum(W * (H @ V)) - np.sum(V * (H @ W)))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,8 @@ class NewtonConfig:
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ConfigError(f"Newton tolerances must be finite and > 0, got "
                               f"abs_tol={self.abs_tol}, rel_tol={self.rel_tol}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclasses.dataclass

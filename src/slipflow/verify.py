@@ -77,12 +77,16 @@ class ManufacturedSolution:
         )
 
 
+def _check_amplitude(amplitude: float) -> None:
+    if not 0 < amplitude < math.inf:
+        raise ConfigError(f"amplitude must be finite and > 0, got {amplitude}")
+
+
 def taylor_green(amplitude: float, time_mode: str = "static") -> ManufacturedSolution:
     """Taylor-Green vortex of the given amplitude with the mixed-trig
     pressure; impermeable on the top wall, nonzero Dirichlet trace on the
     other walls."""
-    if amplitude <= 0:
-        raise ConfigError("amplitude must be > 0")
+    _check_amplitude(amplitude)
     L = amplitude
     pi = math.pi
 
@@ -127,8 +131,7 @@ def polynomial_jhyw(amplitude: float, time_mode: str = "static") -> Manufactured
     """Polynomial pair vanishing on the whole boundary, with linear-bilinear
     pressure; the exact tangential wall traction on the top wall has
     magnitude 20 nu L x^2 (1-x)^2 with maximum (5/4) nu L."""
-    if amplitude <= 0:
-        raise ConfigError("amplitude must be > 0")
+    _check_amplitude(amplitude)
     L = amplitude
 
     # u = (20 L a(x) b(y), -10 L a'(x) a(y)) with a = s^2(s-1)^2 and

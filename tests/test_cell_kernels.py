@@ -2,11 +2,18 @@
 fixed-pattern Jacobian against the einsum, block-by-block and
 CSR-arithmetic references in `loop_reference.py`.
 
-Every comparison is to 1e-13 relative, on top-wall slip and on slip on
-all four walls, steady and unsteady, with and without convection.  The
-references work on (u, p, m) with a mean-pressure multiplier m; the
-system on (u, p) is their leading block at m = 0.
+The convection residual, its Jacobian and `trilinear_skew` all contract
+one reference tensor (`space.skew_tensor`) with cell data; the
+references integrate the same forms point by point at the quadrature
+points.  Every comparison is to 1e-13 relative, on top-wall slip and on
+slip on all four walls, steady and unsteady, with and without
+convection.  The references work on (u, p, m) with a mean-pressure
+multiplier m; the system on (u, p) is their leading block at m = 0.
+One residual call at n = 24 must also allocate less than the
+benchmark's mmap threshold at its peak.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +88,21 @@ def test_convection_kernels_match_einsum(space, rng):
         close(_convection_residual(space, u), ref.convection_residual(space, u))
         close(ref._cell_scatter(space, _convection_jacobian(get_cache(space), u)),
               ref.convection_jacobian(space, u))
+
+
+def test_convection_residual_peak_allocation_below_mmap_threshold(rng):
+    """The temporaries of one call at n = 24 peak below 1 MiB, the mmap
+    threshold `benchmarks/run.py` sets, so they come from the heap the
+    same way in every call."""
+    space = TaylorHoodSpace(tag_boundary(build_unit_square(24), top_wall_tagger()))
+    u = rng.normal(size=space.n_vdofs)
+    tracemalloc.start()
+    try:
+        _convection_residual(space, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("steady", [True, False], ids=["steady", "unsteady"])

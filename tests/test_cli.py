@@ -295,6 +295,8 @@ def wrong_override(draw):
 @example(override=("delta", "abc"))
 @example(override=("gamma_stars", "5"))
 @example(override=("max_iter", "abc"))
+@example(override=("max_iter", "0"))
+@example(override=("max_iter", "-3"))
 @example(override=("convergence_ns", "[1.5, 3, 6]"))
 @settings(max_examples=80, deadline=None)
 def test_wrong_typed_config_value_exits_3(tmp_path_factory, override):

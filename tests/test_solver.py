@@ -102,6 +102,9 @@ def test_newton_max_iter_error(space4):
 def test_newton_config_validation():
     with pytest.raises(ConfigError):
         NewtonConfig(abs_tol=0.0)
+    for bad in (0, -1, -3):
+        with pytest.raises(ConfigError, match="max_iter"):
+            NewtonConfig(max_iter=bad)
 
 
 def test_steady_solve_rejects_unsteady_context(space4):

@@ -188,6 +188,14 @@ def test_convergence_study_validation():
         convergence_study([4, 8, 12], dummy)
 
 
+@pytest.mark.parametrize("make, bad", [(taylor_green, np.nan),
+                                       (polynomial_jhyw, np.inf)],
+                         ids=["taylor_green-nan", "polynomial_jhyw-inf"])
+def test_non_finite_amplitude_is_rejected(make, bad):
+    with pytest.raises(ConfigError, match="amplitude must be finite"):
+        make(bad)
+
+
 def test_convergence_study_exact_discrete_pair():
     # a manufactured pair inside the discrete spaces is reproduced to
     # solver tolerance on every level
