@@ -178,19 +178,61 @@ def _space(cfg: ExperimentConfig, n: int | None = None) -> fespace.TaylorHoodSpa
     return fespace.TaylorHoodSpace(msh)
 
 
+def _nitsche(cfg: ExperimentConfig,
+             include_convection: bool = True) -> forms.NitscheConfig:
+    return forms.NitscheConfig(nu=cfg.nu, alpha=cfg.alpha, variant=cfg.variant,
+                               include_convection=include_convection)
+
+
 def _context(cfg: ExperimentConfig, space: fespace.TaylorHoodSpace, law,
              include_convection: bool = True, **data) -> forms.AssemblyContext:
     """The assembly context of the configured Nitsche scheme on `space`;
     `data` (forcing, dirichlet, delta, ...) goes to AssemblyContext."""
-    nitsche = forms.NitscheConfig(nu=cfg.nu, alpha=cfg.alpha, variant=cfg.variant,
-                                  include_convection=include_convection)
-    return forms.AssemblyContext(space, nitsche, law, **data)
+    return forms.AssemblyContext(space, _nitsche(cfg, include_convection),
+                                 law, **data)
 
 
 def _newton(cfg: ExperimentConfig) -> solver.NewtonConfig:
     return solver.NewtonConfig(
         abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol, max_iter=cfg.max_iter
     )
+
+
+# experiment -> its configured slip laws, in the order it runs them
+_LAWS = {
+    "smooth_nonmonotone": lambda c: [sliplaw.leroux_rajagopal(
+        c.leroux_a, c.leroux_b, c.leroux_c, c.leroux_theta)],
+    "nonsmooth_nonmonotone": lambda c: [sliplaw.fang_regularized(
+        c.fang_a, c.fang_b, c.fang_beta_exp, c.epsilon)],
+    "stick_slip": lambda c: [sliplaw.stick_slip_regularized(gs, c.mu_star, c.epsilon)
+                             for gs in c.gamma_stars],
+    "dynamic": lambda c: [sliplaw.dynamic_moving_wall(c.gamma_star, bs, c.theta_star)
+                          for bs in c.beta_stars],
+}
+
+
+def _check_settings(cfg: ExperimentConfig) -> None:
+    """Build the Newton, Nitsche and slip-law settings of the experiment
+    once, and check its time grid or load schedule, so that a bad value
+    raises before any output."""
+    _newton(cfg)
+    _nitsche(cfg)
+    if cfg.experiment in _LAWS:
+        _LAWS[cfg.experiment](cfg)
+    if cfg.experiment in ("stick_slip", "dynamic"):
+        solver.time_steps(cfg.T, cfg.delta)
+    elif cfg.lambda_schedule and cfg.experiment in (
+            "smooth_nonmonotone", "nonsmooth_nonmonotone"):
+        for lam in cfg.lambdas:
+            if cfg.lambda_schedule[-1] != lam:
+                raise ConfigError(
+                    f"lambda_schedule must end at the target amplitude {lam}")
+
+
+def _march_counts(traj: solver.Trajectory) -> dict:
+    """What the march's Newton solves did, summed over its steps."""
+    return {k: sum(getattr(r, k) for r in traj.reports)
+            for k in ("iterations", "factorizations", "refreshes", "chord_rejected")}
 
 
 def _csv(path: Path, header: str, rows, echo: str) -> None:
@@ -248,11 +290,8 @@ def _steady(cfg, space, law, lam_star, sol, dirichlet):
         return ctx
 
     schedule = list(cfg.lambda_schedule) or [lam_star]
-    if schedule[-1] != lam_star:
-        raise ConfigError(
-            f"lambda_schedule must end at the target amplitude {lam_star}"
-        )
-    # either walk ends at lam_star, so its last context is the target's
+    # either walk ends at lam_star (`_check_settings`), so its last
+    # context is the target's
     try:
         return solver.steady_solve(make_ctx, schedule, cfg=_newton(cfg)), ctx
     except solver.SolverError:
@@ -270,9 +309,7 @@ def _steady(cfg, space, law, lam_star, sol, dirichlet):
 
 def run_smooth_nonmonotone(cfg: ExperimentConfig, outdir: Path,
                            space: fespace.TaylorHoodSpace) -> dict:
-    law = sliplaw.leroux_rajagopal(
-        cfg.leroux_a, cfg.leroux_b, cfg.leroux_c, cfg.leroux_theta
-    )
+    law, = _LAWS["smooth_nonmonotone"](cfg)
     summary = {}
     for lam in cfg.lambdas:
         state, ctx = _steady(cfg, space, law, lam, verify.taylor_green,
@@ -291,9 +328,7 @@ def run_smooth_nonmonotone(cfg: ExperimentConfig, outdir: Path,
 
 def run_nonsmooth_nonmonotone(cfg: ExperimentConfig, outdir: Path,
                               space: fespace.TaylorHoodSpace) -> dict:
-    law = sliplaw.fang_regularized(
-        cfg.fang_a, cfg.fang_b, cfg.fang_beta_exp, cfg.epsilon
-    )
+    law, = _LAWS["nonsmooth_nonmonotone"](cfg)
     summary = {}
     for lam in cfg.lambdas:
         sol_obj = verify.polynomial_jhyw(lam)
@@ -321,8 +356,7 @@ def run_stick_slip(cfg: ExperimentConfig, outdir: Path,
     sol = verify.polynomial_jhyw(cfg.lambda_star, time_mode="linear")
     f = verify.forcing(sol, cfg.nu, convection=True)
     summary = {}
-    for gs in cfg.gamma_stars:
-        law = sliplaw.stick_slip_regularized(gs, cfg.mu_star, cfg.epsilon)
+    for gs, law in zip(cfg.gamma_stars, _LAWS["stick_slip"](cfg)):
         ctx = _context(cfg, space, law, forcing=f, dirichlet=0.0,
                        delta=cfg.delta, u_old=np.zeros(space.n_vdofs))
         traj = solver.time_march(
@@ -338,6 +372,7 @@ def run_stick_slip(cfg: ExperimentConfig, outdir: Path,
             _write_cr(outdir, tag, prof, law, cfg.echo())
             summary[gtag][f"max_u_tau_t{tsnap:g}"] = float(prof.u_tau.max())
         summary[gtag]["newton_iters_mean"] = float(np.mean(traj.newton_iters))
+        summary[gtag]["newton"] = _march_counts(traj)
     return summary
 
 
@@ -346,8 +381,7 @@ def run_dynamic(cfg: ExperimentConfig, outdir: Path,
     summary = {}
     plot = SvgPlot(title="slip velocity at the probe", xlabel="t",
                    ylabel="|u_tau|")
-    for bs in cfg.beta_stars:
-        law = sliplaw.dynamic_moving_wall(cfg.gamma_star, bs, cfg.theta_star)
+    for bs, law in zip(cfg.beta_stars, _LAWS["dynamic"](cfg)):
         ctx = _context(cfg, space, law, dirichlet=0.0,
                        delta=cfg.delta, u_old=np.zeros(space.n_vdofs))
         traj = solver.time_march(
@@ -367,6 +401,7 @@ def run_dynamic(cfg: ExperimentConfig, outdir: Path,
             "worst_energy_residual": float(
                 max(abs(e.residual) / e.scale for e in traj.energy)
             ),
+            "newton": _march_counts(traj),
         }
     plot.save(outdir / "probe.svg")
     return summary
@@ -441,6 +476,7 @@ RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> dict:
     """Run one experiment; returns (and writes) the summary."""
+    _check_settings(cfg)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {"experiment": cfg.experiment, "config": dataclasses.asdict(cfg)}

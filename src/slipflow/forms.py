@@ -141,6 +141,20 @@ class FormCache:
         return JacobianPattern(self)
 
     @functools.cached_property
+    def slip_support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The slip support S, the live velocity DOFs with a nonzero
+        tangential trace, and the position of each entry of the (F,6,2,6,2)
+        slip-facet blocks in the dense (r, r) block on S, r*r where its
+        row or column is outside S; built on the first use."""
+        sl = self.slip
+        trace = (sl.tr != 0).any(axis=2)[:, :, None] & (sl.P != 0).any(axis=2)[:, None]
+        S = np.setdiff1d(sl.dofs.reshape(-1, 6, 2)[trace], self.space.dirichlet_vdofs)
+        r = S.size
+        local = np.where(np.isin(sl.dofs, S), np.searchsorted(S, sl.dofs), r)
+        inside = (local[:, :, None] < r) & (local[:, None, :] < r)
+        return S, np.where(inside, local[:, :, None] * r + local[:, None, :], r * r).ravel()
+
+    @functools.cached_property
     def flux_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """1^T G_c and 1^T |G_c| at the Dirichlet DOFs, where alone 1^T G_c
         is nonzero: the net flux of Dirichlet data g is the first . g."""
@@ -549,6 +563,16 @@ def _slip_jacobian(ctx: AssemblyContext, u: np.ndarray) -> np.ndarray:
     u_tau = sl.split(sl.values(u))[1]
     P = sl.P[:, None]
     return sl.blocks(P @ ctx.law.jacobian(u_tau, ctx.t) @ P)
+
+
+def slip_block(ctx: AssemblyContext, u: np.ndarray) -> np.ndarray:
+    """The dense (r, r) block of the slip Jacobian on the slip support S
+    (`FormCache.slip_support`): the only block of the Jacobian that the
+    slip law moves."""
+    S, pos = ctx.cache.slip_support
+    r = S.size
+    return np.bincount(pos, _slip_jacobian(ctx, u).ravel(),
+                       minlength=r * r + 1)[:r * r].reshape(r, r)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .forms import (
     assemble_residual,
     boundary_functionals,
     energy_balance,
+    slip_block,
 )
 
 log = logging.getLogger("slipflow.solver")
@@ -35,6 +36,7 @@ CHORD_ACCEPT = 0.25
 # earlier updates of the same factorization (Anderson, type II)
 ANDERSON_DEPTH = 3
 # a time step after the first starts Newton from 2 u_{j-1} - u_{j-2}
+# (not after a step that took no Newton iteration)
 EXTRAPOLATE = True
 # a solve whose residual against the Jacobian exceeds this, relative to
 # the right-hand side, gets one step of iterative refinement; if it
@@ -93,15 +95,20 @@ class NewtonReport:
     chord_rejected: int = 0     # ... and refused
     lu_fill: int = 0            # stored entries of L and U, summed
     refinements: int = 0        # solves refined once
+    refreshes: int = 0          # slip refreshes set up (W = A'^-1 U built)
 
 
 class FactorCache:
     """Holds the last factorization for reuse across time steps.
 
-    Reused factors, mixed or not, only ever produce candidate updates;
-    acceptance is always judged on the true nonlinear residual, so reuse
-    affects cost, never the converged solution.  The mixing history is
-    not carried: it belongs to one newton_solve call.
+    A factorization carried into a later newton_solve call keeps its slip
+    block exact: its solves are refreshed with the slip law's change
+    since it was made (`_Factor.refresh`), so one factorization can serve
+    a whole stick-slip march.  Reused factors, refreshed, mixed or
+    neither, only ever produce candidate updates; acceptance is always
+    judged on the true nonlinear residual, so reuse affects cost, never
+    the converged solution.  The mixing history is not carried: it
+    belongs to one newton_solve call.
     """
 
     def __init__(self):
@@ -128,14 +135,32 @@ class _Factor:
     solve misses BORDERED_RTOL after one refinement step, A' is
     factorized with COLAMD and partial pivoting and used, unchecked,
     from then on.
+
+    Slip refresh.  The slip law moves A only in the dense r x r block on
+    the slip support S (`forms.slip_block`).  Given Sigma_f, that block at
+    the factorized state, `refresh` makes the solves solve with
+    A + U D U^T instead, for D = Sigma(u) - Sigma_f and U the columns S
+    of the identity, by the Woodbury identity (W. W. Hager, SIAM Rev.
+    31(2), 1989): x = x_0 - W (I + D C)^-1 D x_0[S], with x_0 the solve
+    with A', W = A'^-1 U, built by one multi-column solve the first time
+    D != 0, and C = W[S].  U D U^T holds no pressure, so the projection
+    and the zero-mean shift stay as they are.  A refreshed solve is
+    always checked, against A + U D U^T, and refined once; if it still
+    misses, `solve` returns None and the factor must be freed, so a
+    stale W never reaches the fallback.
     """
 
-    def __init__(self, J, ctx: AssemblyContext, report: NewtonReport):
+    def __init__(self, J, ctx: AssemblyContext, report: NewtonReport,
+                 sigma: Optional[np.ndarray] = None):
         self.J, self.pattern = J, ctx.cache.pattern
         self.p = slice(ctx.space.n_vdofs, None)
         self.e_p = ctx.cache.e_p
         self.e_sum = float(self.e_p.sum())
         self.checked = True
+        self.carried = False    # set when carried into a later call
+        # Sigma_f, and once D != 0: S, W, C; the refresh in use is D and
+        # G = (I + D C)^-1 D, or None
+        self.sigma, self.W, self.D = sigma, None, None
         try:
             self._factor(report, permc_spec="NATURAL", diag_pivot_thresh=BORDERED_PIVOT)
         except RuntimeError:
@@ -156,29 +181,68 @@ class _Factor:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
         report.fallbacks += 1
 
+    def refresh(self, ctx: AssemblyContext, u: np.ndarray,
+                report: NewtonReport) -> bool:
+        """Make the solves solve with the slip block at u; False, and
+        plain solves, where it equals Sigma_f.  Building W is counted in
+        `report`."""
+        D = slip_block(ctx, u) - self.sigma
+        if not D.any():
+            self.D = None
+            return False
+        if self.W is None:
+            # W and C in the order q: rows q^-1[S] of W hold C
+            self.S = ctx.cache.slip_support[0]
+            self.Sq = np.argsort(self.pattern.order)[self.S]
+            U = np.zeros((self.pattern.n, self.S.size))
+            U[self.Sq, np.arange(self.S.size)] = 1.0
+            self.W = self.lu.solve(U)
+            self.C = self.W[self.Sq]
+            report.refreshes += 1
+        self.D = D
+        try:
+            self.G = np.linalg.solve(np.eye(len(D)) + D @ self.C, D)
+        except np.linalg.LinAlgError:   # no solve can meet the check
+            self.G = np.full_like(D, np.nan)
+        return True
+
     def _solve(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The projection of b onto the range of A, and the zero-mean x
         that A maps to it."""
         p, q = self.p, self.pattern.order
         b = b.copy()
         b[p] -= b[p].sum() / self.e_sum * self.e_p
+        y = self.lu.solve(b[q])
+        if self.D is not None:
+            y -= self.W @ (self.G @ y[self.Sq])
         x = np.empty_like(b)
-        x[q] = self.lu.solve(b[q])
+        x[q] = y
         x[p] -= (self.e_p @ x[p]) / self.e_sum
         return b, x
 
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """A x, with the refresh in use."""
+        y = self.J @ x
+        if self.D is not None:
+            y[self.S] += self.D @ x[self.S]
+        return y
+
     def _accurate(self, x: np.ndarray, b: np.ndarray) -> bool:
-        res = np.linalg.norm(b - self.J @ x)
+        res = np.linalg.norm(b - self._apply(x))
         return bool(res <= BORDERED_RTOL * np.linalg.norm(b))
 
-    def solve(self, b: np.ndarray, report: NewtonReport) -> np.ndarray:
+    def solve(self, b: np.ndarray, report: NewtonReport) -> Optional[np.ndarray]:
         """The zero-mean x that A maps to the projection of b onto its
-        range; a refinement or a fallback is counted in `report`."""
+        range; a refinement or a fallback is counted in `report`.  None
+        where a refreshed solve misses the check after its refinement."""
         b, x = self._solve(b)
-        if self.checked and not self._accurate(x, b):
+        refreshed = self.D is not None
+        if (self.checked or refreshed) and not self._accurate(x, b):
             report.refinements += 1
-            x += self._solve(b - self.J @ x)[1]
+            x += self._solve(b - self._apply(x))[1]
             if not self._accurate(x, b):
+                if refreshed:
+                    return None
                 self._fall_back(report)
                 x = self._solve(b)[1]
         return x
@@ -249,13 +313,18 @@ def newton_solve(
     e_p-mean before the first residual, and every Newton update keeps
     both.  A FactorCache passed in (the time marcher does) carries the
     factorization across calls.  Every iteration steps along an LU
-    direction.  With a reused factorization that direction is mixed with
-    the earlier ones of the same factorization in this call (_Mixer,
-    ANDERSON_DEPTH); the full step only is tried, kept if it contracts
+    direction.  A factorization carried in from an earlier call is
+    refreshed with the slip law's change since it was made
+    (`_Factor.refresh`); a refreshed solve that misses its check frees
+    it and counts as a rejected reused step.  Any other direction of a
+    reused factorization is mixed with the earlier ones of the same
+    factorization in this call (_Mixer, ANDERSON_DEPTH).  With a reused
+    factorization the full step only is tried, kept if it contracts
     the true residual by CHORD_ACCEPT or meets tol, and otherwise the
     factorization is freed, so the iteration is retried with a fresh
     one.  A fresh factorization takes the LU direction as it is,
     backtracks up to LS_MAX halvings and keeps the best finite trial.
+    Steady solves (no FactorCache passed) never refresh.
     A non-finite Jacobian, or a line search whose every trial has a
     non-finite residual, raises SolverError.
     """
@@ -263,8 +332,11 @@ def newton_solve(
     ctx.project_dirichlet(state)
     e_p = ctx.cache.e_p
     state.p -= (e_p @ state.p) / e_p.sum()
-    if factors is None:
+    carry = factors is not None
+    if not carry:
         factors = FactorCache()   # reuse within this solve only
+    elif factors.factor is not None:
+        factors.factor.carried = True
 
     r = assemble_residual(state, ctx)
     rnorm = float(np.linalg.norm(r))
@@ -289,16 +361,26 @@ def newton_solve(
             J = assemble_jacobian(state, ctx)
             if not np.all(np.isfinite(J.data)):
                 raise SolverError(f"{where}: the Jacobian is not finite")
-            factors.factor = _Factor(J, ctx, report)
+            factors.factor = _Factor(
+                J, ctx, report, slip_block(ctx, state.u) if carry else None)
             del J   # freeing the factor frees its Jacobian
+        refreshed = (factors.factor.carried
+                     and factors.factor.refresh(ctx, state.u, report))
         d = factors.factor.solve(-r, report)
+        if d is None:
+            # a refreshed solve missed its check: factorize afresh
+            factors.factor = None
+            report.chord_rejected += 1
+            continue
         x = ctx.pack(state)
         # report.factorizations numbers the factorization d was made with
         # (a fallback inside the solve is a new one): a fresh one has no
         # earlier pairs, so its direction is left as it is.  A non-finite
         # d is never mixed into a later step: its trials are all
         # non-finite, so it is rejected (reused) or raises (fresh).
-        d = mixer.mix(x, d, report.factorizations)
+        # Refreshed directions, each of another operator, are not mixed.
+        if not refreshed:
+            d = mixer.mix(x, d, report.factorizations)
 
         lam = 1.0
         best = None
@@ -379,8 +461,13 @@ class Trajectory:
     probe_series: np.ndarray          # (m+1, n_probes) of |u_tau|
     profiles: list                    # WallProfile per grid point (incl. t=0)
     energy: list                      # EnergyBalance per step (length m)
-    newton_iters: list                # iterations per step (length m)
+    reports: list                     # NewtonReport per step (length m)
     final_state: SystemState
+
+    @property
+    def newton_iters(self) -> list:
+        """Newton iterations per step (length m)."""
+        return [r.iterations for r in self.reports]
 
     def profile_at(self, t: float) -> WallProfile:
         if not self.profiles:
@@ -414,6 +501,23 @@ def _probe_values(state: SystemState, E, proj) -> np.ndarray:
     return np.linalg.norm(proj @ (E @ state.u).reshape(-1, 2, 1), axis=(1, 2))
 
 
+def time_steps(T: float, delta: float) -> int:
+    """The number of backward Euler steps of delta to time T; ConfigError
+    unless delta is finite and > 0 and T a positive integer multiple of
+    it."""
+    if not 0 < delta < math.inf:
+        raise ConfigError(f"time step delta must be finite and > 0, got {delta}")
+    if not math.isfinite(T / delta):
+        raise ConfigError(f"final time {T} over delta {delta} is not a finite "
+                          f"number of steps")
+    m = int(round(T / delta))
+    if m < 1 or abs(m * delta - T) > 1e-9 * max(T, 1.0):
+        raise ConfigError(
+            f"final time {T} is not an integer multiple of delta {delta}"
+        )
+    return m
+
+
 def time_march(
     ctx: AssemblyContext,
     u0: SystemState,
@@ -428,21 +532,12 @@ def time_march(
     T must be an integer multiple of delta (rejected otherwise rather than
     silently truncated).  Step j solves with the data of u_{j-1} and
     starts Newton from the linear extrapolation 2 u_{j-1} - u_{j-2} of
-    the last two states, u and p (EXTRAPOLATE); the first step starts
-    from u0.  Failures abort with the step index.  A probe outside the
-    mesh raises MeshError before the first step.
+    the last two states, u and p (EXTRAPOLATE); the first step, and a
+    step after one that took no Newton iteration, start from u_{j-1}.
+    Failures abort with the step index.  A probe outside the mesh raises
+    MeshError before the first step.
     """
-    if not 0 < delta < math.inf:
-        raise ConfigError(f"time step delta must be finite and > 0, got {delta}")
-    if not math.isfinite(T / delta):
-        raise ConfigError(f"final time {T} over delta {delta} is not a finite "
-                          f"number of steps")
-    m = int(round(T / delta))
-    if m < 1 or abs(m * delta - T) > 1e-9 * max(T, 1.0):
-        raise ConfigError(
-            f"final time {T} is not an integer multiple of delta {delta}"
-        )
-
+    m = time_steps(T, delta)
     E, proj = _setup_probes(ctx, probes)
     factors = FactorCache()
     state = u0.copy()
@@ -454,7 +549,7 @@ def time_march(
     series = np.zeros((m + 1, len(proj)))
     profiles = []
     energies = []
-    iters = []
+    reports = []
     series[0] = _probe_values(state, E, proj)
     if record_profiles:
         profiles.append(boundary_functionals(state, ctx))
@@ -462,10 +557,12 @@ def time_march(
     prev = None
     for j in range(1, m + 1):
         t = j * delta
-        # the step data is u_{j-1}; only Newton's start is extrapolated
+        # the step data is u_{j-1}; only Newton's start is extrapolated,
+        # and not after a step that took no iteration: it started within
+        # tolerance, and the extrapolation only moves the start away
         ctx.advance(t, state.u.copy())
         guess = state
-        if EXTRAPOLATE and prev is not None:
+        if EXTRAPOLATE and prev is not None and reports[-1].iterations:
             guess = SystemState(2.0 * state.u - prev.u, 2.0 * state.p - prev.p)
         try:
             new, report = newton_solve(
@@ -474,7 +571,7 @@ def time_march(
         except SolverError as exc:
             raise _prefixed(exc, f"time step {j} (t = {t:.6g}) failed")
         prev, state = state, new
-        iters.append(report.iterations)
+        reports.append(report)
         energies.append(energy_balance(state, ctx))
         series[j] = _probe_values(state, E, proj)
         if record_profiles:
@@ -486,6 +583,6 @@ def time_march(
         probe_series=series,
         profiles=profiles,
         energy=energies,
-        newton_iters=iters,
+        reports=reports,
         final_state=state,
     )

@@ -1,8 +1,10 @@
-"""The two accelerations of the backward Euler march: Newton starts each
-time step from the linear extrapolation of the last two states, and the
-updates of one reused factorization are mixed by Anderson acceleration
-(`solver._Mixer`).  Neither may change what a step solves: the step data
-stays u_{j-1}, and every step is still accepted on its true residual.
+"""The accelerations of the backward Euler march: Newton starts each
+time step from the linear extrapolation of the last two states, a
+factorization carried into a later step is refreshed with the slip law's
+change (`solver._Factor.refresh`), and the other updates of one reused
+factorization are mixed by Anderson acceleration (`solver._Mixer`).
+None may change what a step solves: the step data stays u_{j-1}, and
+every step is still accepted on its true residual.
 """
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 
 from slipflow import solver
 from slipflow.fespace import SystemState
-from slipflow.forms import assemble_residual
+from slipflow.forms import AssemblyContext, NitscheConfig, assemble_residual
+from slipflow.sliplaw import dynamic_moving_wall
 from slipflow.solver import NewtonConfig, newton_solve, time_march
 from test_solver import stick_slip_march_ctx
 
@@ -70,14 +73,22 @@ def test_mixer_keeps_the_last_pairs_of_one_factorization(rng):
 def test_mixing_history_is_of_the_current_factorization(space4, monkeypatch):
     # through stick-to-slip with more than 10 rejected reused steps: each
     # newton_solve call and each factorization starts an empty history,
-    # so after the s-th update since either it holds min(s, depth + 1)
-    # pairs, never one from an earlier call or factorization
+    # so after the s-th mixed update since either it holds min(s, depth + 1)
+    # pairs, never one from an earlier call or factorization.  Refreshed
+    # updates (of a carried factorization) are never mixed; every other
+    # update is.
     events, reports = [], []
 
     class Factor(solver._Factor):
         def __init__(self, *args):
             events.append("factor")
             super().__init__(*args)
+
+        def refresh(self, *args):
+            refreshed = super().refresh(*args)
+            if refreshed:
+                events.append("refreshed")
+            return refreshed
 
     class Mixer(solver._Mixer):
         def mix(self, x, d, key):
@@ -102,10 +113,13 @@ def test_mixing_history_is_of_the_current_factorization(space4, monkeypatch):
     for e in events:
         if e in ("call", "factor"):
             since = 0
-        else:
+        elif e != "refreshed":
             since += 1
             held.append((e, min(since, solver.ANDERSON_DEPTH + 1)))
-    assert len(held) == sum(r.iterations + r.chord_rejected for r in reports)
+    refreshed = events.count("refreshed")
+    assert refreshed > 10
+    assert len(held) + refreshed == sum(r.iterations + r.chord_rejected
+                                        for r in reports)
     assert all(got == want for got, want in held)
     assert max(got for got, _ in held) == solver.ANDERSON_DEPTH + 1
     for r in reports:
@@ -151,6 +165,7 @@ def test_drift_and_counts_against_the_plain_chord_loop(space4, monkeypatch):
     _, fast, calls = capture_march(space4, monkeypatch, probes)
     monkeypatch.setattr(solver, "EXTRAPOLATE", False)
     monkeypatch.setattr(solver, "ANDERSON_DEPTH", 0)
+    monkeypatch.setattr(solver._Factor, "refresh", lambda *args: False)
     _, plain, plain_calls = capture_march(space4, monkeypatch, probes)
     for got, want in ((fast.final_state.u, plain.final_state.u),
                       (fast.final_state.p, plain.final_state.p),
@@ -162,3 +177,29 @@ def test_drift_and_counts_against_the_plain_chord_loop(space4, monkeypatch):
 
     assert total(calls, "iterations") <= 0.7 * total(plain_calls, "iterations")
     assert total(calls, "factorizations") <= total(plain_calls, "factorizations")
+
+
+def test_no_extrapolation_after_a_step_that_took_no_iteration(space4, monkeypatch):
+    # the dynamic law relaxes to a steady state, where steps start within
+    # tolerance; the step after such a step starts from u_{j-1} itself
+    calls = []
+
+    def captured(ctx, guess=None, **kwargs):
+        state, report = newton_solve(ctx, guess=guess, **kwargs)
+        calls.append((guess, state, report))
+        return state, report
+
+    monkeypatch.setattr(solver, "newton_solve", captured)
+    ctx = AssemblyContext(space4, NitscheConfig(alpha=10.0),
+                          dynamic_moving_wall(1.0, 0.0, 0.01), dirichlet=0.0,
+                          delta=0.05, u_old=np.zeros(space4.n_vdofs))
+    time_march(ctx, SystemState.zero(space4), T=2.0, delta=0.05)
+    skipped = 0
+    for (_, before, _), (_, last, report), (guess, _, _) in zip(calls, calls[1:],
+                                                                calls[2:]):
+        if report.iterations:
+            assert np.array_equal(guess.u, 2.0 * last.u - before.u)
+        else:
+            assert guess is last
+            skipped += 1
+    assert skipped >= 5

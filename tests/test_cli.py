@@ -88,6 +88,8 @@ def test_dynamic_run_outputs(tmp_path):
     assert lines[0].startswith("# config: ")
     assert lines[1] == "t,v_slip"
     assert summary["results"]["beta0"]["monotone"] is True
+    # a linear law: the carried factorization is never refreshed
+    assert summary["results"]["beta1"]["newton"]["refreshes"] == 0
 
 
 def test_dynamic_rerun_byte_identical(tmp_path):
@@ -170,6 +172,11 @@ def test_stick_slip_experiment_small(tmp_path):
     summary = run(cfg)
     assert (tmp_path / "out" / "wall_profile_gs0_t0.02.csv").exists()
     assert "max_u_tau_t0.02" in summary["results"]["gs0"]
+    counts = summary["results"]["gs0"]["newton"]
+    assert set(counts) == {"iterations", "factorizations", "refreshes",
+                           "chord_rejected"}
+    assert counts["iterations"] == 2 * summary["results"]["gs0"]["newton_iters_mean"]
+    assert counts["factorizations"] >= 1
 
 
 def test_constants_experiment_small(tmp_path):
@@ -347,6 +354,30 @@ def test_non_finite_config_value_exits_3(tmp_path_factory, override):
     assert not (root / "out").exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("abs_tol=0", "Newton tolerances must be finite and > 0"),
+    ("rel_tol=-1e-8", "Newton tolerances must be finite and > 0"),
+    ("nu=0", "viscosity nu must be finite and > 0"),
+    ("alpha=-2", "alpha must be a positive number"),
+    ("delta=0", "time step delta must be finite and > 0"),
+    ("T=0.025", "final time 0.025 is not an integer multiple of delta 0.01"),
+    ("epsilon=0", "epsilon must be finite and > 0"),
+    ("mu_star=-1", "needs finite mu_star, gamma_star >= 0"),
+    ("gamma_stars=[0.0, -1.0]", "needs finite mu_star, gamma_star >= 0"),
+])
+def test_out_of_range_setting_exits_3_before_any_output(tmp_path, capsys,
+                                                        override, message):
+    # the Newton, Nitsche, slip-law and time-step settings are all built
+    # before the output directory is made
+    cfgp = write_config(tmp_path, {
+        "experiment": "stick_slip", "n": 2, "T": 0.02, "delta": 0.01,
+        "snapshots": [0.02], "gamma_stars": [0.0],
+        "outdir": str(tmp_path / "out")})
+    assert main(["solve", str(cfgp), "-o", override]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_that_is_not_utf8_exits_3(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_bytes(b"\xff\xfe" + json.dumps({"experiment": "dynamic"}).encode())
@@ -377,3 +408,4 @@ def test_schedule_that_misses_the_target_exits_3(tmp_path_factory, target,
         assert main(["solve", str(cfgp)]) == 3
     assert f"must end at the target amplitude {target}" in err.getvalue()
     assert calls == []
+    assert not (root / "out").exists()
