@@ -213,14 +213,17 @@ _LAWS = {
 
 def _check_settings(cfg: ExperimentConfig) -> None:
     """Build the Newton, Nitsche and slip-law settings of the experiment
-    once, and check its time grid or load schedule, so that a bad value
-    raises before any output."""
+    once, and check its time grid, snapshot times or load schedule, so
+    that a bad value raises before any output."""
     _newton(cfg)
     _nitsche(cfg)
     if cfg.experiment in _LAWS:
         _LAWS[cfg.experiment](cfg)
     if cfg.experiment in ("stick_slip", "dynamic"):
-        solver.time_steps(cfg.T, cfg.delta)
+        m = solver.time_steps(cfg.T, cfg.delta)
+        if cfg.experiment == "stick_slip":
+            for t in cfg.snapshots:
+                solver.grid_index(cfg.delta * np.arange(m + 1), t)
     elif cfg.lambda_schedule and cfg.experiment in (
             "smooth_nonmonotone", "nonsmooth_nonmonotone"):
         for lam in cfg.lambdas:

@@ -518,6 +518,16 @@ def _convection_residual(space: TaylorHoodSpace, u: np.ndarray) -> np.ndarray:
                        minlength=space.n_vdofs)
 
 
+def convection_derivative(space: TaylorHoodSpace, w: np.ndarray,
+                          d: np.ndarray) -> np.ndarray:
+    """C(w) d, for C(w) the convection Jacobian at w, with the Dirichlet
+    rows zeroed: 1/2 [c(w + d) - c(w - d)], exact because the convection
+    residual c is quadratic."""
+    y = 0.5 * (_convection_residual(space, w + d) - _convection_residual(space, w - d))
+    y[space.dirichlet_vdofs] = 0.0
+    return y
+
+
 def _convection_jacobian(cache: FormCache, u: np.ndarray) -> np.ndarray:
     """Local (T,6,2,6,2) blocks of the derivative of btilde(u, u, v) in u,
     btilde(u, w, v) + btilde(w, u, v) for v = phi_a e_c and w = phi_b e_d:

@@ -20,6 +20,7 @@ from .forms import (
     assemble_jacobian,
     assemble_residual,
     boundary_functionals,
+    convection_derivative,
     energy_balance,
     slip_block,
 )
@@ -30,7 +31,8 @@ log = logging.getLogger("slipflow.solver")
 LS_RHO = 0.5
 LS_MAX = 8
 # accept a step computed with a reused factorization only if it
-# contracts the residual at least this much; otherwise refactorize
+# contracts the residual at least this much; otherwise refactorize (or
+# backtrack, if refreshed and Newton-accurate: newton_solve)
 CHORD_ACCEPT = 0.25
 # steps with a reused factorization are mixed with up to this many
 # earlier updates of the same factorization (Anderson, type II)
@@ -101,14 +103,14 @@ class NewtonReport:
 class FactorCache:
     """Holds the last factorization for reuse across time steps.
 
-    A factorization carried into a later newton_solve call keeps its slip
-    block exact: its solves are refreshed with the slip law's change
-    since it was made (`_Factor.refresh`), so one factorization can serve
-    a whole stick-slip march.  Reused factors, refreshed, mixed or
-    neither, only ever produce candidate updates; acceptance is always
-    judged on the true nonlinear residual, so reuse affects cost, never
-    the converged solution.  The mixing history is not carried: it
-    belongs to one newton_solve call.
+    Every reuse of a factorization, in the call that made it or in a
+    later one, keeps its slip block exact: its solves are refreshed with
+    the slip law's change since it was made (`_Factor.refresh`), so one
+    factorization can serve a whole stick-slip march.  Reused factors,
+    refreshed, mixed or neither, only ever produce candidate updates;
+    acceptance is always judged on the true nonlinear residual, so reuse
+    affects cost, never the converged solution.  The mixing history is
+    not carried: it belongs to one newton_solve call.
     """
 
     def __init__(self):
@@ -137,30 +139,32 @@ class _Factor:
     from then on.
 
     Slip refresh.  The slip law moves A only in the dense r x r block on
-    the slip support S (`forms.slip_block`).  Given Sigma_f, that block at
-    the factorized state, `refresh` makes the solves solve with
-    A + U D U^T instead, for D = Sigma(u) - Sigma_f and U the columns S
-    of the identity, by the Woodbury identity (W. W. Hager, SIAM Rev.
-    31(2), 1989): x = x_0 - W (I + D C)^-1 D x_0[S], with x_0 the solve
-    with A', W = A'^-1 U, built by one multi-column solve the first time
-    D != 0, and C = W[S].  U D U^T holds no pressure, so the projection
-    and the zero-mean shift stay as they are.  A refreshed solve is
-    always checked, against A + U D U^T, and refined once; if it still
-    misses, `solve` returns None and the factor must be freed, so a
-    stale W never reaches the fallback.
+    the slip support S (`forms.slip_block`).  Given u_f, the velocity A
+    was assembled at, and Sigma_f, that block at u_f, `refresh` makes the
+    solves solve with A + U D U^T instead, for D = Sigma(u) - Sigma_f and
+    U the columns S of the identity, by the Woodbury identity (W. W.
+    Hager, SIAM Rev. 31(2), 1989): x = x_0 - W (I + D C)^-1 D x_0[S],
+    with x_0 the solve with A', W = A'^-1 U, built the first time D != 0
+    by solves of 8 columns at a time, and C = W[S].  U D U^T holds no
+    pressure, so the projection and the zero-mean shift stay as they
+    are.  A refreshed solve is always checked, against A + U D U^T, and
+    refined once; if it still misses, `solve` returns None and the
+    factor must be freed, so a stale W never reaches the fallback.  What
+    a refreshed A still misses of the Jacobian at u is the convection
+    change since u_f (`forcing_term`).
     """
 
     def __init__(self, J, ctx: AssemblyContext, report: NewtonReport,
-                 sigma: Optional[np.ndarray] = None):
+                 u: Optional[np.ndarray] = None):
         self.J, self.pattern = J, ctx.cache.pattern
         self.p = slice(ctx.space.n_vdofs, None)
         self.e_p = ctx.cache.e_p
         self.e_sum = float(self.e_p.sum())
         self.checked = True
-        self.carried = False    # set when carried into a later call
-        # Sigma_f, and once D != 0: S, W, C; the refresh in use is D and
-        # G = (I + D C)^-1 D, or None
-        self.sigma, self.W, self.D = sigma, None, None
+        # u_f and Sigma_f, and once D != 0: S, W, C; the refresh in use
+        # is D and G = (I + D C)^-1 D, or None
+        self.u, self.W, self.D = u, None, None
+        self.sigma = None if u is None else slip_block(ctx, u)
         try:
             self._factor(report, permc_spec="NATURAL", diag_pivot_thresh=BORDERED_PIVOT)
         except RuntimeError:
@@ -191,12 +195,16 @@ class _Factor:
             self.D = None
             return False
         if self.W is None:
-            # W and C in the order q: rows q^-1[S] of W hold C
+            # W and C in the order q: rows q^-1[S] of W hold C.  W is
+            # solved for 8 columns at a time, so no N x r identity is held
             self.S = ctx.cache.slip_support[0]
             self.Sq = np.argsort(self.pattern.order)[self.S]
-            U = np.zeros((self.pattern.n, self.S.size))
-            U[self.Sq, np.arange(self.S.size)] = 1.0
-            self.W = self.lu.solve(U)
+            self.W = np.empty((self.pattern.n, self.S.size), order="F")
+            for k in range(0, self.S.size, 8):
+                rows = self.Sq[k:k + 8]
+                U = np.zeros((self.pattern.n, rows.size))
+                U[rows, np.arange(rows.size)] = 1.0
+                self.W[:, k:k + 8] = self.lu.solve(U)
             self.C = self.W[self.Sq]
             report.refreshes += 1
         self.D = D
@@ -205,6 +213,15 @@ class _Factor:
         except np.linalg.LinAlgError:   # no solve can meet the check
             self.G = np.full_like(D, np.nan)
         return True
+
+    def forcing_term(self, ctx: AssemblyContext, u, d, rnorm: float) -> float:
+        """||(C(u) - C(u_f)) d_u|| / rnorm, C the convection Jacobian: the
+        relative residual ||J(u) d + r|| / ||r|| of a refreshed direction
+        d with A d = -r, for r the residual at u and ||r|| = rnorm."""
+        if not ctx.config.include_convection:
+            return 0.0
+        dr = convection_derivative(ctx.space, u - self.u, d[:ctx.space.n_vdofs])
+        return float(np.linalg.norm(dr)) / rnorm
 
     def _solve(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The projection of b onto the range of A, and the zero-mean x
@@ -313,30 +330,29 @@ def newton_solve(
     e_p-mean before the first residual, and every Newton update keeps
     both.  A FactorCache passed in (the time marcher does) carries the
     factorization across calls.  Every iteration steps along an LU
-    direction.  A factorization carried in from an earlier call is
-    refreshed with the slip law's change since it was made
-    (`_Factor.refresh`); a refreshed solve that misses its check frees
-    it and counts as a rejected reused step.  Any other direction of a
-    reused factorization is mixed with the earlier ones of the same
-    factorization in this call (_Mixer, ANDERSON_DEPTH).  With a reused
-    factorization the full step only is tried, kept if it contracts
-    the true residual by CHORD_ACCEPT or meets tol, and otherwise the
-    factorization is freed, so the iteration is retried with a fresh
-    one.  A fresh factorization takes the LU direction as it is,
-    backtracks up to LS_MAX halvings and keeps the best finite trial.
-    Steady solves (no FactorCache passed) never refresh.
-    A non-finite Jacobian, or a line search whose every trial has a
-    non-finite residual, raises SolverError.
+    direction.  Every reuse of a factorization is refreshed with the
+    slip law's change since it was made (`_Factor.refresh`); a refreshed
+    solve that misses its check frees it and counts as a rejected reused
+    step.  The other directions of a reused factorization (D == 0) are
+    mixed with the earlier ones of the same factorization in this call
+    (_Mixer, ANDERSON_DEPTH).  A fresh factorization takes the LU
+    direction as it is, backtracks up to LS_MAX halvings and keeps the
+    best finite trial.  A reused one tries the full step, kept if it
+    contracts the true residual by CHORD_ACCEPT or meets tol.  If not, a
+    refreshed step whose forcing term ||J(u) d + r|| / ||r||
+    (`_Factor.forcing_term`; S. C. Eisenstat & H. F. Walker, SIAM J.
+    Sci. Comput. 17(1), 1996) is at most CHORD_ACCEPT**2 backtracks as a
+    fresh one and is kept if it lowers the residual; any other miss
+    frees the factorization, and the iteration is retried with a fresh
+    one.  A non-finite Jacobian, or a fresh line search whose every
+    trial has a non-finite residual, raises SolverError.
     """
     state = guess.copy() if guess is not None else SystemState.zero(ctx.space)
     ctx.project_dirichlet(state)
     e_p = ctx.cache.e_p
     state.p -= (e_p @ state.p) / e_p.sum()
-    carry = factors is not None
-    if not carry:
+    if factors is None:
         factors = FactorCache()   # reuse within this solve only
-    elif factors.factor is not None:
-        factors.factor.carried = True
 
     r = assemble_residual(state, ctx)
     rnorm = float(np.linalg.norm(r))
@@ -361,11 +377,9 @@ def newton_solve(
             J = assemble_jacobian(state, ctx)
             if not np.all(np.isfinite(J.data)):
                 raise SolverError(f"{where}: the Jacobian is not finite")
-            factors.factor = _Factor(
-                J, ctx, report, slip_block(ctx, state.u) if carry else None)
+            factors.factor = _Factor(J, ctx, report, state.u)
             del J   # freeing the factor frees its Jacobian
-        refreshed = (factors.factor.carried
-                     and factors.factor.refresh(ctx, state.u, report))
+        refreshed = reused and factors.factor.refresh(ctx, state.u, report)
         d = factors.factor.solve(-r, report)
         if d is None:
             # a refreshed solve missed its check: factorize afresh
@@ -382,19 +396,26 @@ def newton_solve(
         if not refreshed:
             d = mixer.mix(x, d, report.factorizations)
 
-        lam = 1.0
-        best = None
-        for halving in range(1 if reused else LS_MAX + 1):
+        # a reused factorization tries the full step alone, unless it is
+        # refreshed and Newton-accurate; then it backtracks to LS_MAX too
+        chord, last = max(CHORD_ACCEPT * rnorm, tol), 0 if reused else LS_MAX
+        lam, best = 1.0, None
+        for halving in range(LS_MAX + 1):
             cand = ctx.unpack(x + lam * d)
             rc = assemble_residual(cand, ctx)
             rcn = float(np.linalg.norm(rc))
             # a non-finite trial is never taken
             if np.isfinite(rcn) and (best is None or rcn < best[1]):
                 best = (cand, rcn, rc, halving)
-            if rcn < rnorm:
+            if (refreshed and not halving and not rcn <= chord
+                    and factors.factor.forcing_term(ctx, state.u, d, rnorm)
+                    <= CHORD_ACCEPT**2):
+                last = LS_MAX
+            if rcn < rnorm or halving == last:
                 break
             lam *= LS_RHO
-        if reused and (best is None or best[1] > max(CHORD_ACCEPT * rnorm, tol)):
+        if reused and (best is None
+                       or (best[1] >= rnorm if last else best[1] > chord)):
             # freed before the next factorization: two never coexist
             factors.factor = None
             report.chord_rejected += 1
@@ -473,10 +494,15 @@ class Trajectory:
         if not self.profiles:
             raise ConfigError("no wall profiles were recorded "
                               "(the march ran with record_profiles=False)")
-        j = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[j] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigError(f"time {t} is not on the trajectory grid")
-        return self.profiles[j]
+        return self.profiles[grid_index(self.times, t)]
+
+
+def grid_index(times: np.ndarray, t: float) -> int:
+    """The j with |times[j] - t| <= 1e-9 max(1, |t|), or ConfigError."""
+    j = int(np.argmin(np.abs(times - t)))
+    if not abs(times[j] - t) <= 1e-9 * max(1.0, abs(t)):
+        raise ConfigError(f"time {t} is not on the trajectory grid")
+    return j
 
 
 def _setup_probes(ctx: AssemblyContext, points):

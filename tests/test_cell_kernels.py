@@ -7,8 +7,10 @@ one reference tensor (`space.skew_tensor`) with cell data; the
 references integrate the same forms point by point at the quadrature
 points.  Every comparison is to 1e-13 relative, on top-wall slip and on
 slip on all four walls, steady and unsteady, with and without
-convection.  The references work on (u, p, m) with a mean-pressure
-multiplier m; the system on (u, p) is their leading block at m = 0.
+convection.  The polarization `convection_derivative` is checked
+against the assembled convection Jacobian.  The references work on
+(u, p, m) with a mean-pressure multiplier m; the system on (u, p) is
+their leading block at m = 0.
 One residual call at n = 24 must also allocate less than the
 benchmark's mmap threshold at its peak.
 """
@@ -28,6 +30,7 @@ from slipflow.forms import (
     _convection_residual,
     assemble_jacobian,
     assemble_residual,
+    convection_derivative,
     energy_balance,
     get_cache,
     trilinear_skew,
@@ -88,6 +91,17 @@ def test_convection_kernels_match_einsum(space, rng):
         close(_convection_residual(space, u), ref.convection_residual(space, u))
         close(ref._cell_scatter(space, _convection_jacobian(get_cache(space), u)),
               ref.convection_jacobian(space, u))
+
+
+def test_convection_derivative_is_the_jacobian_change(space, rng):
+    # (C(u) - C(u_f)) d = C(u - u_f) d, C linear in its point; the
+    # polarization helper leaves the Dirichlet rows zero
+    cache = get_cache(space)
+    u, u_f, d = (rng.normal(size=space.n_vdofs) for _ in range(3))
+    want = ref._cell_scatter(space, _convection_jacobian(cache, u)
+                             - _convection_jacobian(cache, u_f)) @ d
+    want[space.dirichlet_vdofs] = 0.0
+    close(convection_derivative(space, u - u_f, d), want)
 
 
 def test_convection_residual_peak_allocation_below_mmap_threshold(rng):

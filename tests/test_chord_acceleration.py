@@ -1,7 +1,7 @@
 """The accelerations of the backward Euler march: Newton starts each
-time step from the linear extrapolation of the last two states, a
-factorization carried into a later step is refreshed with the slip law's
-change (`solver._Factor.refresh`), and the other updates of one reused
+time step from the linear extrapolation of the last two states, every
+reuse of a factorization is refreshed with the slip law's change
+(`solver._Factor.refresh`), and the other updates of one reused
 factorization are mixed by Anderson acceleration (`solver._Mixer`).
 None may change what a step solves: the step data stays u_{j-1}, and
 every step is still accepted on its true residual.
@@ -13,7 +13,7 @@ import pytest
 from slipflow import solver
 from slipflow.fespace import SystemState
 from slipflow.forms import AssemblyContext, NitscheConfig, assemble_residual
-from slipflow.sliplaw import dynamic_moving_wall
+from slipflow.sliplaw import dynamic_moving_wall, navier
 from slipflow.solver import NewtonConfig, newton_solve, time_march
 from test_solver import stick_slip_march_ctx
 
@@ -71,12 +71,13 @@ def test_mixer_keeps_the_last_pairs_of_one_factorization(rng):
 
 
 def test_mixing_history_is_of_the_current_factorization(space4, monkeypatch):
-    # through stick-to-slip with more than 10 rejected reused steps: each
+    # the march at nu = 0.02, with more than 10 rejected reused steps,
+    # once with the stick-slip law (its reuses are refreshed) and once
+    # with the Navier law (D == 0: its reuses are mixed): each
     # newton_solve call and each factorization starts an empty history,
     # so after the s-th mixed update since either it holds min(s, depth + 1)
     # pairs, never one from an earlier call or factorization.  Refreshed
-    # updates (of a carried factorization) are never mixed; every other
-    # update is.
+    # updates are never mixed; every other update is.
     events, reports = [], []
 
     class Factor(solver._Factor):
@@ -105,8 +106,9 @@ def test_mixing_history_is_of_the_current_factorization(space4, monkeypatch):
     monkeypatch.setattr(solver, "_Factor", Factor)
     monkeypatch.setattr(solver, "_Mixer", Mixer)
     monkeypatch.setattr(solver, "newton_solve", captured)
-    time_march(stick_slip_march_ctx(space4), SystemState.zero(space4),
-               T=1.5, delta=0.1)
+    for law in (None, navier(1.0)):
+        time_march(stick_slip_march_ctx(space4, nu=0.02, lam=10.0, law=law),
+                   SystemState.zero(space4), T=1.5, delta=0.1)
     assert sum(r.chord_rejected for r in reports) > 10
     assert sum(r.fallbacks for r in reports) == 0
     since, held = 0, []

@@ -364,11 +364,12 @@ def test_non_finite_config_value_exits_3(tmp_path_factory, override):
     ("epsilon=0", "epsilon must be finite and > 0"),
     ("mu_star=-1", "needs finite mu_star, gamma_star >= 0"),
     ("gamma_stars=[0.0, -1.0]", "needs finite mu_star, gamma_star >= 0"),
+    ("snapshots=[0.015]", "time 0.015 is not on the trajectory grid"),
 ])
 def test_out_of_range_setting_exits_3_before_any_output(tmp_path, capsys,
                                                         override, message):
-    # the Newton, Nitsche, slip-law and time-step settings are all built
-    # before the output directory is made
+    # the Newton, Nitsche, slip-law and time-step settings and the
+    # snapshot times are all checked before the output directory is made
     cfgp = write_config(tmp_path, {
         "experiment": "stick_slip", "n": 2, "T": 0.02, "delta": 0.01,
         "snapshots": [0.02], "gamma_stars": [0.0],

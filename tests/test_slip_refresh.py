@@ -1,12 +1,14 @@
-"""The slip refresh of a carried factorization (`solver._Factor.refresh`).
+"""The slip refresh of a reused factorization (`solver._Factor.refresh`).
 
 The slip law moves the Jacobian only in the dense block on the slip
-support S (`forms.slip_block`).  A factorization carried into a later
-newton_solve call solves with that block kept exact by the Woodbury
-identity.  It must solve as a fresh factorization of the refreshed
-Jacobian would, never run for a linear law or a steady solve, and give
-way to a fresh factorization, not to the fallback, when it misses its
-check.
+support S (`forms.slip_block`).  Every reuse of a factorization, in the
+newton_solve call that made it or in a later one, solves with that
+block kept exact by the Woodbury identity.  It must solve as a fresh
+factorization of the refreshed Jacobian would, never run for a linear
+law, and give way to a fresh factorization, not to the fallback, when
+it misses its check.  A refreshed step that misses CHORD_ACCEPT may
+backtrack only if its forcing term, the convection change since the
+factorization applied to the step, is at most CHORD_ACCEPT^2.
 """
 
 import weakref
@@ -24,8 +26,9 @@ from slipflow.forms import (AssemblyContext, FormCache, NitscheConfig,
                             assemble_jacobian, slip_block)
 from slipflow.mesh import (BoundaryTag, build_unit_square, tag_boundary,
                            top_wall_tagger)
-from slipflow.sliplaw import dynamic_moving_wall, navier, stick_slip_regularized
-from slipflow.solver import NewtonReport, newton_solve, steady_solve, time_march
+from slipflow.sliplaw import (dynamic_moving_wall, fang_regularized, navier,
+                              stick_slip_regularized)
+from slipflow.solver import NewtonReport, newton_solve, time_march
 from slipflow.verify import forcing, polynomial_jhyw
 
 
@@ -95,7 +98,7 @@ def test_refreshed_solve_matches_a_fresh_factorization(space, seed, scale):
     # a random D on the entries the slip law can move
     D = np.where(sigma != 0, scale * rng.normal(size=sigma.shape), 0.0)
     report = NewtonReport(0, [], [], False)
-    factor = solver._Factor(J, ctx, report, sigma)
+    factor = solver._Factor(J, ctx, report, state.u)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "slip_block", lambda ctx, u: sigma + D)
         assert factor.refresh(ctx, state.u, report)
@@ -157,15 +160,78 @@ def test_linear_laws_never_refresh(space, monkeypatch, law):
     assert traj.reports == reports
 
 
-def test_steady_solves_never_refresh(space, monkeypatch):
-    calls = []
-    monkeypatch.setattr(solver._Factor, "refresh",
-                        lambda *args: calls.append(args) or True)
+def test_steady_solve_of_a_nonsmooth_law_refreshes(space, monkeypatch):
+    # every reuse is refreshed, in the call that made the factorization
+    # too: one factorization and one W serve the whole cold solve, where
+    # the unrefreshed solve refactorizes; both reach the same state
     ctx = steady_ctx(space)
-    _, report = newton_solve(ctx)
-    assert report.chord_accepted + report.chord_rejected > 0
-    steady_solve(lambda lam: steady_ctx(space), schedule=[1.0, 1.0])
-    assert calls == [] and report.refreshes == 0
+    state, report = newton_solve(ctx)
+    assert report.factorizations == 1 and report.refreshes == 1
+    with monkeypatch.context() as mp:
+        mp.setattr(solver._Factor, "refresh", lambda *args: False)
+        plain, plain_report = newton_solve(ctx)
+    assert plain_report.factorizations > 1 and plain_report.refreshes == 0
+    # both stop at 1e-10 ||R_0||, which leaves the states this close
+    # (observed 2.8e-11)
+    for got, want in ((state.u, plain.u), (state.p, plain.p)):
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def convective_ctx(nu, lam):
+    """Steady fang friction on the top wall at n = 16, viscosity nu and
+    forcing amplitude lam."""
+    space = TaylorHoodSpace(tag_boundary(build_unit_square(16), top_wall_tagger()))
+    return AssemblyContext(space, NitscheConfig(nu=nu, alpha=10.0),
+                           fang_regularized(1.6, 1.5, 10.0, 2e-4),
+                           forcing=forcing(polynomial_jhyw(lam), nu), dirichlet=0.0)
+
+
+def test_convection_dominated_solve_matches_the_unrefreshed_solve(monkeypatch):
+    # at nu = 0.02, lam = 50 the convection change makes some refreshed
+    # steps poor; the gate keeps those from backtracking, so the solve
+    # converges, to the state the unrefreshed solve reaches
+    ctx = convective_ctx(0.02, 50.0)
+    state, report = newton_solve(ctx)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver._Factor, "refresh", lambda *args: False)
+        plain, plain_report = newton_solve(ctx)
+    assert report.factorizations < plain_report.factorizations
+    for got, want in ((state.u, plain.u), (state.p, plain.p)):
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lam, backtracked", [(20.0, 0), (50.0, 5)])
+def test_only_a_newton_accurate_refreshed_step_backtracks(monkeypatch, lam,
+                                                          backtracked):
+    # a refreshed full step that misses CHORD_ACCEPT backtracks if its
+    # forcing term is at most CHORD_ACCEPT^2 (what follows is a residual,
+    # or the end), and is rejected for a fresh factorization otherwise
+    events = []
+
+    class Factor(solver._Factor):
+        def __init__(self, *args):
+            events.append("factor")
+            super().__init__(*args)
+
+        def forcing_term(self, *args):
+            eta = super().forcing_term(*args)
+            events.append(eta)
+            return eta
+
+    def residual(*args):
+        events.append("residual")
+        return forms.assemble_residual(*args)
+
+    monkeypatch.setattr(solver, "_Factor", Factor)
+    monkeypatch.setattr(solver, "assemble_residual", residual)
+    newton_solve(convective_ctx(0.02, lam))
+    etas = [(e, after) for e, after in zip(events, events[1:] + ["end"])
+            if not isinstance(e, str)]
+    high = [after for eta, after in etas if eta > solver.CHORD_ACCEPT**2]
+    low = [after for eta, after in etas if eta <= solver.CHORD_ACCEPT**2]
+    assert high and set(high) == {"factor"}
+    assert set(low) <= {"residual", "end"}
+    assert len(low) >= backtracked
 
 
 def test_refreshed_solve_that_misses_frees_the_factor(space4, monkeypatch):

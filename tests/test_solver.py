@@ -304,20 +304,23 @@ def test_march_with_stick_slip_energy_recorded(space4):
         assert abs(eb.residual) <= 1e-7 * eb.scale
 
 
-def stick_slip_march_ctx(space):
-    """The stick-slip march of the CLI at delta = 0.1."""
-    sol = polynomial_jhyw(1.0, time_mode="linear")
+def stick_slip_march_ctx(space, nu=1.0, lam=1.0, law=None):
+    """The stick-slip march of the CLI at delta = 0.1, viscosity nu and
+    forcing amplitude lam; with `law` in place of the stick-slip law if
+    given."""
+    sol = polynomial_jhyw(lam, time_mode="linear")
     return AssemblyContext(
-        space, NitscheConfig(alpha=10.0), stick_slip_regularized(0.0, 1.0, 2e-4),
-        forcing=forcing(sol, 1.0, convection=True), dirichlet=0.0,
+        space, NitscheConfig(nu=nu, alpha=10.0),
+        law or stick_slip_regularized(0.0, 1.0, 2e-4),
+        forcing=forcing(sol, nu, convection=True), dirichlet=0.0,
         delta=0.1, u_old=np.zeros(space.n_vdofs),
     )
 
 
 def test_two_factorizations_never_coexist(space4, monkeypatch):
-    # through stick-to-slip the reused factorization keeps failing to
-    # contract the residual; each rejection must free it before the
-    # next one is built
+    # through stick-to-slip at nu = 0.02 the convection change keeps the
+    # reused factorization from contracting the residual; each rejection
+    # must free it before the next one is built
     alive, coexisting, reports = [], [], []
 
     class Tracked(solver._Factor):
@@ -333,8 +336,8 @@ def test_two_factorizations_never_coexist(space4, monkeypatch):
 
     monkeypatch.setattr(solver, "_Factor", Tracked)
     monkeypatch.setattr(solver, "newton_solve", captured)
-    time_march(stick_slip_march_ctx(space4), SystemState.zero(space4),
-               T=1.5, delta=0.1)
+    time_march(stick_slip_march_ctx(space4, nu=0.02, lam=10.0),
+               SystemState.zero(space4), T=1.5, delta=0.1)
     assert sum(r.chord_rejected for r in reports) == len(coexisting) - 1 > 10
     assert coexisting == [0] * len(coexisting)
 
