@@ -235,7 +235,8 @@ def _check_settings(cfg: ExperimentConfig) -> None:
 def _march_counts(traj: solver.Trajectory) -> dict:
     """What the march's Newton solves did, summed over its steps."""
     return {k: sum(getattr(r, k) for r in traj.reports)
-            for k in ("iterations", "factorizations", "refreshes", "chord_rejected")}
+            for k in ("iterations", "factorizations", "refreshes", "chord_accepted",
+                      "chord_rejected", "refinements", "fallbacks")}
 
 
 def _csv(path: Path, header: str, rows, echo: str) -> None:

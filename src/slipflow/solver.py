@@ -34,9 +34,6 @@ LS_MAX = 8
 # contracts the residual at least this much; otherwise refactorize (or
 # backtrack, if refreshed and Newton-accurate: newton_solve)
 CHORD_ACCEPT = 0.25
-# steps with a reused factorization are mixed with up to this many
-# earlier updates of the same factorization (Anderson, type II)
-ANDERSON_DEPTH = 3
 # a time step after the first starts Newton from 2 u_{j-1} - u_{j-2}
 # (not after a step that took no Newton iteration)
 EXTRAPOLATE = True
@@ -107,10 +104,9 @@ class FactorCache:
     later one, keeps its slip block exact: its solves are refreshed with
     the slip law's change since it was made (`_Factor.refresh`), so one
     factorization can serve a whole stick-slip march.  Reused factors,
-    refreshed, mixed or neither, only ever produce candidate updates;
-    acceptance is always judged on the true nonlinear residual, so reuse
-    affects cost, never the converged solution.  The mixing history is
-    not carried: it belongs to one newton_solve call.
+    refreshed or not, only ever produce candidate updates; acceptance is
+    always judged on the true nonlinear residual, so reuse affects cost,
+    never the converged solution.
     """
 
     def __init__(self):
@@ -265,57 +261,6 @@ class _Factor:
         return x
 
 
-class _Mixer:
-    """Anderson mixing, type II, of the updates of one factorization.
-
-    With the factorization M fixed, the update d(x) = -M^-1 R(x) makes
-    the fixed-point map x + d(x).  From the last pairs (x_i, d_i) of one
-    factorization the mixed update is d_k - (dX + dF) gamma, dX and dF
-    the differences of consecutive x_i and d_i, and gamma the least
-    squares solution of dF gamma = d_k (H. F. Walker & P. Ni, SIAM
-    J. Numer. Anal. 49(4), 2011).  On an affine map with depth >= the
-    dimension it reaches the fixed point as GMRES on M^-1 A does.
-
-    The differences of the last `depth` + 1 pairs are kept in (N, depth)
-    arrays, the oldest overwritten first; a pair made with another
-    factorization clears them.
-    """
-
-    def __init__(self, n: int, depth: int):
-        self.dX = np.empty((n, depth), order="F")
-        self.dF = np.empty((n, depth), order="F")
-        self.clear()
-
-    def clear(self):
-        self.x = self.d = self.key = None
-        self.cols = self.next = 0
-
-    @property
-    def pairs(self) -> int:
-        """How many (x_i, d_i) pairs the history holds."""
-        return 0 if self.x is None else self.cols + 1
-
-    def mix(self, x: np.ndarray, d: np.ndarray, key) -> np.ndarray:
-        """Keep the pair (x, d), made with the factorization `key`, and
-        return the update mixed with the earlier pairs of that key."""
-        depth = self.dX.shape[1]
-        if key != self.key:
-            self.clear()
-            self.key = key
-        elif depth:
-            i = self.next
-            np.subtract(x, self.x, out=self.dX[:, i])
-            np.subtract(d, self.d, out=self.dF[:, i])
-            self.next = (i + 1) % depth
-            self.cols = min(self.cols + 1, depth)
-        self.x, self.d = x, d
-        if not self.cols:
-            return d
-        dF = self.dF[:, :self.cols]
-        gamma = np.linalg.lstsq(dF, d)[0]
-        return d - (self.dX[:, :self.cols] + dF) @ gamma
-
-
 def newton_solve(
     ctx: AssemblyContext,
     guess: Optional[SystemState] = None,
@@ -329,15 +274,13 @@ def newton_solve(
     its Dirichlet entries projected and its pressure shifted to zero
     e_p-mean before the first residual, and every Newton update keeps
     both.  A FactorCache passed in (the time marcher does) carries the
-    factorization across calls.  Every iteration steps along an LU
-    direction.  Every reuse of a factorization is refreshed with the
-    slip law's change since it was made (`_Factor.refresh`); a refreshed
-    solve that misses its check frees it and counts as a rejected reused
-    step.  The other directions of a reused factorization (D == 0) are
-    mixed with the earlier ones of the same factorization in this call
-    (_Mixer, ANDERSON_DEPTH).  A fresh factorization takes the LU
-    direction as it is, backtracks up to LS_MAX halvings and keeps the
-    best finite trial.  A reused one tries the full step, kept if it
+    factorization across calls.  Every iteration steps along the LU
+    direction d as `_Factor.solve` returns it, fresh or reused.  Every
+    reuse of a factorization is refreshed with the slip law's change
+    since it was made (`_Factor.refresh`); a refreshed solve that misses
+    its check frees it and counts as a rejected reused step.  A fresh
+    factorization backtracks up to LS_MAX halvings and keeps the best
+    finite trial.  A reused one tries the full step, kept if it
     contracts the true residual by CHORD_ACCEPT or meets tol.  If not, a
     refreshed step whose forcing term ||J(u) d + r|| / ||r||
     (`_Factor.forcing_term`; S. C. Eisenstat & H. F. Walker, SIAM J.
@@ -358,7 +301,6 @@ def newton_solve(
     rnorm = float(np.linalg.norm(r))
     report = NewtonReport(0, [rnorm], [], False)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
-    mixer = _Mixer(r.size, ANDERSON_DEPTH)
     log.info("step %d iter 0 resid %.6e ls 0", step_label, rnorm)
 
     while rnorm > tol:
@@ -387,14 +329,6 @@ def newton_solve(
             report.chord_rejected += 1
             continue
         x = ctx.pack(state)
-        # report.factorizations numbers the factorization d was made with
-        # (a fallback inside the solve is a new one): a fresh one has no
-        # earlier pairs, so its direction is left as it is.  A non-finite
-        # d is never mixed into a later step: its trials are all
-        # non-finite, so it is rejected (reused) or raises (fresh).
-        # Refreshed directions, each of another operator, are not mixed.
-        if not refreshed:
-            d = mixer.mix(x, d, report.factorizations)
 
         # a reused factorization tries the full step alone, unless it is
         # refreshed and Newton-accurate; then it backtracks to LS_MAX too

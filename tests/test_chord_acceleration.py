@@ -1,10 +1,10 @@
 """The accelerations of the backward Euler march: Newton starts each
-time step from the linear extrapolation of the last two states, every
-reuse of a factorization is refreshed with the slip law's change
-(`solver._Factor.refresh`), and the other updates of one reused
-factorization are mixed by Anderson acceleration (`solver._Mixer`).
-None may change what a step solves: the step data stays u_{j-1}, and
-every step is still accepted on its true residual.
+time step from the linear extrapolation of the last two states, and
+every reuse of a factorization is refreshed with the slip law's change
+(`solver._Factor.refresh`).  Neither may change what a step solves: the
+step data stays u_{j-1}, every step moves along the LU direction as the
+solve returns it, and every step is still accepted on its true
+residual.
 """
 
 import numpy as np
@@ -18,115 +18,82 @@ from slipflow.solver import NewtonConfig, newton_solve, time_march
 from test_solver import stick_slip_march_ctx
 
 
-def reference_mix(pairs, depth):
-    """The type II Anderson update from a list of (x, d) pairs of one
-    factorization, newest last, rebuilt from the last depth + 1 of them."""
-    pairs = pairs[-(depth + 1):]
-    x, d = pairs[-1]
-    if len(pairs) == 1:
-        return d
-    dX = np.column_stack([b[0] - a[0] for a, b in zip(pairs, pairs[1:])])
-    dF = np.column_stack([b[1] - a[1] for a, b in zip(pairs, pairs[1:])])
-    gamma = np.linalg.lstsq(dF, d)[0]
-    return d - (dX + dF) @ gamma
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_mixing_reaches_affine_fixed_point_like_gmres(seed):
-    # x + d(x), d(x) = M^-1 (b - A x) with a stale M != A: with a depth of
-    # at least the dimension, mixing is GMRES on M^-1 A (Walker & Ni 2011,
-    # Thm 2.2), exact after dimension + 1 updates
-    n = solver.ANDERSON_DEPTH
-    rng = np.random.default_rng(seed)
-    A = 3.0 * np.eye(n) + rng.normal(size=(n, n))
-    M = A + 0.5 * rng.normal(size=(n, n))
-    b = rng.normal(size=n)
-    want = np.linalg.solve(A, b)
-    mixer = solver._Mixer(n, solver.ANDERSON_DEPTH)
-    x = plain = np.zeros(n)
-    for _ in range(n + 1):
-        x = x + mixer.mix(x, np.linalg.solve(M, b - A @ x), 0)
-        plain = plain + np.linalg.solve(M, b - A @ plain)
-    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-    # the plain chord iteration is far from it after as many updates
-    assert np.linalg.norm(plain - want) > 1e-6 * np.linalg.norm(want)
-
-
-def test_mixer_keeps_the_last_pairs_of_one_factorization(rng):
-    # keys as a solve makes them: runs of updates, each run with a new
-    # factorization; the ring buffer must mix as a list of the pairs would
-    depth = solver.ANDERSON_DEPTH
-    mixer = solver._Mixer(7, depth)
-    pairs = []
-    for key, run in enumerate([1, 2, 9, 3, 6]):
-        for _ in range(run):
-            x, d = rng.normal(size=7), rng.normal(size=7)
-            got = mixer.mix(x, d, key)
-            pairs = (pairs if pairs and pairs[-1][2] == key else []) + [(x, d, key)]
-            assert mixer.pairs == min(len(pairs), depth + 1)
-            want = reference_mix([(x, d) for x, d, _ in pairs], depth)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    mixer.clear()
-    assert mixer.pairs == 0
-
-
-def test_mixing_history_is_of_the_current_factorization(space4, monkeypatch):
-    # the march at nu = 0.02, with more than 10 rejected reused steps,
-    # once with the stick-slip law (its reuses are refreshed) and once
-    # with the Navier law (D == 0: its reuses are mixed): each
-    # newton_solve call and each factorization starts an empty history,
-    # so after the s-th mixed update since either it holds min(s, depth + 1)
-    # pairs, never one from an earlier call or factorization.  Refreshed
-    # updates are never mixed; every other update is.
-    events, reports = [], []
+def test_reuse_accounting_of_refreshed_and_rejected_steps(space4, monkeypatch):
+    # the march at nu = 0.02, once with the stick-slip law (its reuses are
+    # refreshed) and once with the Navier law (D == 0 on every reuse):
+    # every iteration steps with a fresh or a reused factorization, and
+    # every reuse ends accepted or rejected
+    refreshed, reuses, reports = [], [], []
 
     class Factor(solver._Factor):
-        def __init__(self, *args):
-            events.append("factor")
-            super().__init__(*args)
-
         def refresh(self, *args):
-            refreshed = super().refresh(*args)
-            if refreshed:
-                events.append("refreshed")
-            return refreshed
-
-    class Mixer(solver._Mixer):
-        def mix(self, x, d, key):
-            mixed = super().mix(x, d, key)
-            events.append(self.pairs)
-            return mixed
+            reuses.append(super().refresh(*args))
+            return reuses[-1]
 
     def captured(*args, **kwargs):
-        events.append("call")
         state, report = newton_solve(*args, **kwargs)
         reports.append(report)
         return state, report
 
     monkeypatch.setattr(solver, "_Factor", Factor)
-    monkeypatch.setattr(solver, "_Mixer", Mixer)
     monkeypatch.setattr(solver, "newton_solve", captured)
     for law in (None, navier(1.0)):
         time_march(stick_slip_march_ctx(space4, nu=0.02, lam=10.0, law=law),
                    SystemState.zero(space4), T=1.5, delta=0.1)
+        refreshed.append(sum(reuses))
+    assert refreshed[0] > 10
+    assert refreshed[1] == refreshed[0]   # the Navier law never refreshes
     assert sum(r.chord_rejected for r in reports) > 10
-    assert sum(r.fallbacks for r in reports) == 0
-    since, held = 0, []
-    for e in events:
-        if e in ("call", "factor"):
-            since = 0
-        elif e != "refreshed":
-            since += 1
-            held.append((e, min(since, solver.ANDERSON_DEPTH + 1)))
-    refreshed = events.count("refreshed")
-    assert refreshed > 10
-    assert len(held) + refreshed == sum(r.iterations + r.chord_rejected
-                                        for r in reports)
-    assert all(got == want for got, want in held)
-    assert max(got for got, _ in held) == solver.ANDERSON_DEPTH + 1
+    assert len(reuses) == sum(r.chord_accepted + r.chord_rejected for r in reports)
     for r in reports:
         assert r.iterations == r.chord_accepted + r.factorizations
         assert r.refinements == 0
+        assert r.fallbacks == 0
+
+
+def test_every_trial_steps_along_the_solved_direction(space4, monkeypatch):
+    # the Navier march at nu = 0.02 reuses its factorizations with D == 0:
+    # each line-search trial is x + lam d, lam = LS_RHO**k at the k-th
+    # halving, for d exactly as the solve returned it and x the first
+    # state packed after it (the residual packs its trials too)
+    events = []
+
+    class Factor(solver._Factor):
+        def solve(self, *args):
+            d = super().solve(*args)
+            events.append(("d", None if d is None else d.copy()))
+            return d
+
+    pack, unpack = AssemblyContext.pack, AssemblyContext.unpack
+
+    def packed(self, state):
+        x = pack(self, state)
+        events.append(("x", x.copy()))
+        return x
+
+    def unpacked(self, x):
+        events.append(("trial", x.copy()))
+        return unpack(self, x)
+
+    monkeypatch.setattr(solver, "_Factor", Factor)
+    monkeypatch.setattr(AssemblyContext, "pack", packed)
+    monkeypatch.setattr(AssemblyContext, "unpack", unpacked)
+    traj = time_march(stick_slip_march_ctx(space4, nu=0.02, lam=10.0,
+                                           law=navier(1.0)),
+                      SystemState.zero(space4), T=1.5, delta=0.1)
+    assert sum(r.chord_accepted for r in traj.reports) > 10
+    steps, solved = 0, False
+    for kind, v in events:
+        if kind == "d":
+            d, solved = v, True
+        elif kind == "x":
+            if solved:
+                x, lam, solved = v, 1.0, False
+                steps += 1
+        else:
+            assert np.array_equal(v, x + lam * d)
+            lam *= solver.LS_RHO
+    assert steps == sum(r.iterations + r.chord_rejected for r in traj.reports)
 
 
 def capture_march(space, monkeypatch, probes=()):
@@ -166,7 +133,6 @@ def test_drift_and_counts_against_the_plain_chord_loop(space4, monkeypatch):
     probes = [(0.5, 1.0), (0.25, 1.0)]
     _, fast, calls = capture_march(space4, monkeypatch, probes)
     monkeypatch.setattr(solver, "EXTRAPOLATE", False)
-    monkeypatch.setattr(solver, "ANDERSON_DEPTH", 0)
     monkeypatch.setattr(solver._Factor, "refresh", lambda *args: False)
     _, plain, plain_calls = capture_march(space4, monkeypatch, probes)
     for got, want in ((fast.final_state.u, plain.final_state.u),

@@ -174,9 +174,14 @@ def test_stick_slip_experiment_small(tmp_path):
     assert "max_u_tau_t0.02" in summary["results"]["gs0"]
     counts = summary["results"]["gs0"]["newton"]
     assert set(counts) == {"iterations", "factorizations", "refreshes",
-                           "chord_rejected"}
+                           "chord_accepted", "chord_rejected", "refinements",
+                           "fallbacks"}
     assert counts["iterations"] == 2 * summary["results"]["gs0"]["newton_iters_mean"]
     assert counts["factorizations"] >= 1
+    # every iteration steps with a fresh factorization or a reused one,
+    # and none fell back to partial pivoting
+    assert counts["iterations"] == counts["chord_accepted"] + counts["factorizations"]
+    assert counts["refinements"] == counts["fallbacks"] == 0
 
 
 def test_constants_experiment_small(tmp_path):
