@@ -247,9 +247,11 @@ class JacobianPattern:
         rows = np.concatenate([cell_rows, pv_rows, pv_cols, [self.k]])
         cols = np.concatenate([cell_cols, pv_cols, pv_rows, [self.k]])
         live = self.keep[rows] & self.keep[cols]
-        # column-major keys sort into CSC order
-        keys = np.unique(np.concatenate([cols[live] * n + rows[live],
-                                         fixed * (n + 1)]))
+        # column-major keys sort into CSC order; sort and drop repeats
+        # (np.unique hashes first and takes ten times as long)
+        keys = np.sort(np.concatenate([cols[live] * n + rows[live],
+                                       fixed * (n + 1)]))
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
         self.nnz = keys.size
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.concatenate(
@@ -314,7 +316,12 @@ def get_cache(space: TaylorHoodSpace) -> FormCache:
 class AssemblyContext:
     """Bundles space, configuration, slip law and problem data.
 
-    forcing(x, t) -> (N,2) is the body force; dirichlet is the boundary
+    forcing(x, t) -> (N,2) is the body force.  A forcing with an integer
+    attribute `time_degree` d promises to be a polynomial of degree at
+    most d in t: its load vector is then built from its values at
+    t = 0..d on first use, and each step's load vector follows from
+    them (`force_vector`).  Any other callable is evaluated at every
+    step.  dirichlet is the boundary
     value map g(x, t) -> (N,2) (pass 0.0 for homogeneous no-slip; it is
     required whenever Dirichlet facets exist, and any other number
     raises FormsError); slip_forcing(x, t) -> (N,2)
@@ -339,7 +346,7 @@ class AssemblyContext:
         self.space = space
         self.config = config
         self.law = law
-        self.forcing = forcing
+        self.forcing = forcing          # also clears the load cache
         self.slip_forcing = slip_forcing
         self.t = float(t)
         _check_delta(delta)
@@ -363,9 +370,18 @@ class AssemblyContext:
         self._lin = None
         self._sys = None
         self._jac_const = None
-        self._rhs_t = None
         self._hist_t = None
         self._g_t = None
+
+    @property
+    def forcing(self) -> Optional[Callable]:
+        return self._forcing
+
+    @forcing.setter
+    def forcing(self, forcing: Optional[Callable]) -> None:
+        self._forcing = forcing
+        self._force_coeffs = None
+        self._rhs_t = None
 
     def _resolve_alpha(self) -> float:
         if self.config.alpha != "auto":
@@ -432,20 +448,37 @@ class AssemblyContext:
         self._hist_t = None
 
     def force_vector(self) -> np.ndarray:
-        """(f(.,t), v) for all velocity test functions."""
+        """(f(.,t), v) for all velocity test functions.
+
+        For a forcing of `time_degree` d the load vectors are
+        F(t) = sum_k t^k A_k: the A_k are interpolated once from F at
+        t = 0..d, and F(t) is summed by Horner's rule."""
         if self._rhs_t is None:
-            space = self.space
-            F = np.zeros(space.n_vdofs)
-            if self.forcing is not None:
-                X = space.xq.reshape(-1, 2)
-                fv = np.asarray(self.forcing(X, self.t), dtype=float).reshape(
-                    space.xq.shape
-                )
-                loc = space.phi @ (space.wdet[:, :, None] * fv)     # (T,6,2)
-                F = np.bincount(space.cell_vdofs.ravel(), loc.ravel(),
-                                minlength=space.n_vdofs)
-            self._rhs_t = F
+            degree = getattr(self.forcing, "time_degree", None)
+            if degree is None:
+                self._rhs_t = self._load(self.t)
+            else:
+                if self._force_coeffs is None:
+                    nodes = np.arange(degree + 1.0)
+                    self._force_coeffs = np.linalg.solve(
+                        np.vander(nodes, increasing=True),
+                        np.stack([self._load(float(s)) for s in nodes]))
+                F = self._force_coeffs[-1]
+                for A in self._force_coeffs[-2::-1]:
+                    F = F * self.t + A
+                self._rhs_t = F
         return self._rhs_t
+
+    def _load(self, t: float) -> np.ndarray:
+        """(f(.,t), v) by quadrature at every cell point."""
+        space = self.space
+        if self.forcing is None:
+            return np.zeros(space.n_vdofs)
+        X = space.xq.reshape(-1, 2)
+        fv = np.asarray(self.forcing(X, t), dtype=float).reshape(space.xq.shape)
+        loc = space.phi @ (space.wdet[:, :, None] * fv)     # (T,6,2)
+        return np.bincount(space.cell_vdofs.ravel(), loc.ravel(),
+                           minlength=space.n_vdofs)
 
     def history_vector(self) -> np.ndarray:
         """(1/delta)[(u_old, v) + beta* <u_old, v>_Gs] for all velocity

@@ -103,9 +103,14 @@ def _finish_mesh(vertices: np.ndarray, cells: np.ndarray) -> Mesh:
         [cells[:, [1, 2]], cells[:, [2, 0]], cells[:, [0, 1]]], axis=0
     )
     raw_sorted = np.sort(raw, axis=1)
-    edges, inverse, counts = np.unique(
-        raw_sorted, axis=0, return_inverse=True, return_counts=True
+    # edge (a, b), a < b, by its key a nv + b: integer keys sort in the
+    # row order of np.unique(axis=0), which is 20 times slower
+    nv = vertices.shape[0]
+    keys, inverse, counts = np.unique(
+        raw_sorted[:, 0] * nv + raw_sorted[:, 1],
+        return_inverse=True, return_counts=True,
     )
+    edges = np.column_stack(np.divmod(keys, nv))
     T = cells.shape[0]
     cell_edges = inverse.reshape(3, T).T
 

@@ -34,8 +34,10 @@ LS_MAX = 8
 # contracts the residual at least this much; otherwise refactorize (or
 # backtrack, if refreshed and Newton-accurate: newton_solve)
 CHORD_ACCEPT = 0.25
-# a time step after the first starts Newton from 2 u_{j-1} - u_{j-2}
-# (not after a step that took no Newton iteration)
+# a time step after the first starts Newton from the extrapolation of
+# the last states: 2 u_{j-1} - u_{j-2} at step 2, 3 u_{j-1} - 3 u_{j-2}
+# + u_{j-3} from step 3 on (not after a step that took no Newton
+# iteration)
 EXTRAPOLATE = True
 # a solve whose residual against the Jacobian exceeds this, relative to
 # the right-hand side, gets one step of iterative refinement; if it
@@ -478,6 +480,16 @@ def time_steps(T: float, delta: float) -> int:
     return m
 
 
+def _extrapolate(u1: SystemState, u2: SystemState,
+                 u3: Optional[SystemState] = None) -> SystemState:
+    """The linear extrapolation 2 u1 - u2, or with u3 the quadratic
+    3 u1 - 3 u2 + u3, of u and p."""
+    if u3 is None:
+        return SystemState(2.0 * u1.u - u2.u, 2.0 * u1.p - u2.p)
+    return SystemState(3.0 * u1.u - 3.0 * u2.u + u3.u,
+                       3.0 * u1.p - 3.0 * u2.p + u3.p)
+
+
 def time_march(
     ctx: AssemblyContext,
     u0: SystemState,
@@ -491,9 +503,10 @@ def time_march(
 
     T must be an integer multiple of delta (rejected otherwise rather than
     silently truncated).  Step j solves with the data of u_{j-1} and
-    starts Newton from the linear extrapolation 2 u_{j-1} - u_{j-2} of
-    the last two states, u and p (EXTRAPOLATE); the first step, and a
-    step after one that took no Newton iteration, start from u_{j-1}.
+    starts Newton from the quadratic extrapolation 3 u_{j-1} - 3 u_{j-2}
+    + u_{j-3} of the last three states, u and p (EXTRAPOLATE); step 2
+    starts from the linear 2 u_{j-1} - u_{j-2}, and the first step, and
+    a step after one that took no Newton iteration, from u_{j-1}.
     Failures abort with the step index.  A probe outside the mesh raises
     MeshError before the first step.
     """
@@ -514,7 +527,7 @@ def time_march(
     if record_profiles:
         profiles.append(boundary_functionals(state, ctx))
 
-    prev = None
+    prev = ()       # u_{j-2} and u_{j-3}, as far as they exist
     for j in range(1, m + 1):
         t = j * delta
         # the step data is u_{j-1}; only Newton's start is extrapolated,
@@ -522,15 +535,15 @@ def time_march(
         # tolerance, and the extrapolation only moves the start away
         ctx.advance(t, state.u.copy())
         guess = state
-        if EXTRAPOLATE and prev is not None and reports[-1].iterations:
-            guess = SystemState(2.0 * state.u - prev.u, 2.0 * state.p - prev.p)
+        if EXTRAPOLATE and prev and reports[-1].iterations:
+            guess = _extrapolate(state, *prev)
         try:
             new, report = newton_solve(
                 ctx, guess=guess, cfg=cfg, step_label=j, factors=factors
             )
         except SolverError as exc:
             raise _prefixed(exc, f"time step {j} (t = {t:.6g}) failed")
-        prev, state = state, new
+        prev, state = (state, *prev[:1]), new
         reports.append(report)
         energies.append(energy_balance(state, ctx))
         series[j] = _probe_values(state, E, proj)

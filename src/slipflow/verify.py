@@ -197,7 +197,9 @@ def forcing(sol: ManufacturedSolution, nu: float,
 
     div(2 nu D u) reduces to nu lap(u) because the families are
     divergence-free; the convective part carries the square of the time
-    factor.
+    factor.  So f is a polynomial in t, and `f.time_degree` says of what
+    degree: 0 for a static pair, and for a linear one 2 with convection
+    and 1 without.  `forms.AssemblyContext` then loads f once per march.
     """
 
     def f(x, t=0.0):
@@ -207,6 +209,7 @@ def forcing(sol: ManufacturedSolution, nu: float,
             out = out + fac**2 * sol.conv0(x)
         return out
 
+    f.time_degree = (2 if convection else 1) if sol.time_mode == "linear" else 0
     return f
 
 

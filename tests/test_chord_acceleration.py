@@ -1,6 +1,6 @@
 """The accelerations of the backward Euler march: Newton starts each
-time step from the linear extrapolation of the last two states, and
-every reuse of a factorization is refreshed with the slip law's change
+time step from the quadratic extrapolation of the last three states
+(the linear one of the last two at step 2), and every reuse of a factorization is refreshed with the slip law's change
 (`solver._Factor.refresh`).  Neither may change what a step solves: the
 step data stays u_{j-1}, every step moves along the LU direction as the
 solve returns it, and every step is still accepted on its true
@@ -149,7 +149,9 @@ def test_drift_and_counts_against_the_plain_chord_loop(space4, monkeypatch):
 
 def test_no_extrapolation_after_a_step_that_took_no_iteration(space4, monkeypatch):
     # the dynamic law relaxes to a steady state, where steps start within
-    # tolerance; the step after such a step starts from u_{j-1} itself
+    # tolerance; the step after such a step starts from u_{j-1} itself,
+    # any other step j >= 3 from 3 u_{j-1} - 3 u_{j-2} + u_{j-3}, and
+    # step 2 from 2 u_1 - u_0
     calls = []
 
     def captured(ctx, guess=None, **kwargs):
@@ -162,12 +164,19 @@ def test_no_extrapolation_after_a_step_that_took_no_iteration(space4, monkeypatc
                           dynamic_moving_wall(1.0, 0.0, 0.01), dirichlet=0.0,
                           delta=0.05, u_old=np.zeros(space4.n_vdofs))
     time_march(ctx, SystemState.zero(space4), T=2.0, delta=0.05)
-    skipped = 0
-    for (_, before, _), (_, last, report), (guess, _, _) in zip(calls, calls[1:],
-                                                                calls[2:]):
-        if report.iterations:
-            assert np.array_equal(guess.u, 2.0 * last.u - before.u)
-        else:
-            assert guess is last
+    states = [calls[0][0]] + [state for _, state, _ in calls]   # u_0, u_1, ...
+    skipped = quadratic = 0
+    for j in range(2, len(calls) + 1):
+        guess, u = calls[j - 1][0], states[max(j - 3, 0):j][::-1]   # u_{j-1}, ...
+        if not calls[j - 2][2].iterations:
+            assert guess is u[0]
             skipped += 1
+            continue
+        for part in ("u", "p"):
+            x = [getattr(s, part) for s in u]
+            want = (2.0 * x[0] - x[1] if j == 2
+                    else 3.0 * x[0] - 3.0 * x[1] + x[2])
+            assert np.array_equal(getattr(guess, part), want)
+        quadratic += j > 2
     assert skipped >= 5
+    assert quadratic >= 5
