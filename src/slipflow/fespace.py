@@ -125,6 +125,14 @@ def block_indices(row_dofs: np.ndarray, col_dofs: np.ndarray):
             np.tile(col_dofs, (1, row_dofs.shape[1])).ravel())
 
 
+def vector_blocks(m: np.ndarray) -> np.ndarray:
+    """Local (K,6,2,6,2) blocks m[k,a,b] delta_cd of a scalar form m (K,6,6)."""
+    loc = np.zeros((len(m), 6, 2, 6, 2))
+    loc[:, :, 0, :, 0] = m
+    loc[:, :, 1, :, 1] = m
+    return loc
+
+
 def scatter_blocks(loc: np.ndarray, index, shape) -> sp.csr_matrix:
     """Sum the local blocks loc (K*R*C entries, row-major) into a CSR
     matrix of `shape`; `index` is `block_indices` of their dofs."""
@@ -187,18 +195,18 @@ class FacetTable:
         Nu = self.space.n_vdofs
         return scatter_blocks(loc, block_indices(self.dofs, self.dofs), (Nu, Nu))
 
+    def trace_mass(self, per_h: bool = False) -> np.ndarray:
+        """Facet masses (F,6,6) of the scalar P2 traces; `per_h` as in `mass`."""
+        w = np.broadcast_to(self.space.fqweights, self.w.shape) if per_h else self.w
+        return np.einsum("fq,faq,fbq->fab", w, self.tr, self.tr)
+
     def mass(self, normal: bool = False, per_h: bool = False) -> sp.csr_matrix:
         """The boundary mass <u, v>, or <u.n, v.n> when `normal`, over the
         selection; `per_h` puts the weight h_F^-1 into the integrand."""
-        w = np.broadcast_to(self.space.fqweights, self.w.shape) if per_h else self.w
-        tt = np.einsum("fq,faq,fbq->fab", w, self.tr, self.tr)
+        tt = self.trace_mass(per_h)
         if normal:
-            loc = np.einsum("fab,fc,fd->facbd", tt, self.n, self.n)
-        else:
-            loc = np.zeros((len(tt), 6, 2, 6, 2))
-            loc[:, :, 0, :, 0] = tt
-            loc[:, :, 1, :, 1] = tt
-        return self.matrix(loc)
+            return self.matrix(np.einsum("fab,fc,fd->facbd", tt, self.n, self.n))
+        return self.matrix(vector_blocks(tt))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +271,16 @@ class TaylorHoodSpace:
         t0 = np.einsum("q,eq,bqj,aq->ejab", self.qweights, self.phi,
                        self.dphi, self.phi)
         self.skew_tensor = (t0 - t0.swapaxes(2, 3)).reshape(12, 36)
+        # reference tensors of the constant forms (forms.FormCache): P2 mass,
+        # R[(a,b),(i,j)] = sum_q w_q d_i phi_a d_j phi_b, the divergence
+        # D[i,b,j] = sum_q w_q psi_i d_j phi_b, P1 mass and P1 integrals
+        w = self.qweights
+        self.mass_tensor = (w * self.phi) @ self.phi.T                 # (6,6)
+        self.grad_tensor = np.einsum("q,aqi,bqj->abij", w, self.dphi,
+                                     self.dphi).reshape(36, 4)
+        self.div_tensor = np.einsum("q,iq,bqj->ibj", w, self.psi, self.dphi)
+        self.p1_mass = (w * self.psi) @ self.psi.T                     # (3,3)
+        self.p1_integrals = self.psi @ w                               # (3,)
         # physical quadrature points
         self.xq = p[:, None, 0, :] + np.einsum(
             "tij,qj->tqi", J, self.qpoints

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fespace import (FacetTable, TaylorHoodSpace, SystemState, block_indices,
-                      scatter_blocks)
+                      scatter_blocks, vector_blocks)
 from .sliplaw import SlipLaw
 
 
@@ -73,51 +73,36 @@ class FormCache:
 
     def __init__(self, space: TaylorHoodSpace):
         self.space = space
-        T = space.mesh.num_cells
-        wdet = space.wdet                                           # (T,Q)
-
         Nu, Np = space.n_vdofs, space.n_pdofs
-        cd = space.cell_vdofs
+        cd, pd = space.cell_vdofs, space.cell_pdofs
         cells = block_indices(cd, cd)
-        shape_uu = (Nu, Nu)
-        shape_pu = (Np, Nu)
+        # the mesh is affine: each cell block is a reference tensor of the
+        # space contracted with det J and J^-1 (grad_x = J^-T grad_xi)
+        dJ, iT = space.detJ[:, None, None], np.swapaxes(space.invJ, 1, 2)  # iT[t,d,j]
+        self.M_u = scatter_blocks(vector_blocks(dJ * space.mass_tensor), cells, (Nu, Nu))
 
-        phi, psi = space.phi, space.psi
-        # physical gradients of the P2 basis: grad_x phi = invJ^T grad_xi phi
-        G = np.einsum("aqj,tji->taqi", space.dphi, space.invJ)     # (T,6,Q,2)
-
-        # scalar and vector mass
-        m_scal = np.einsum("tq,aq,bq->tab", wdet, phi, phi)
-        loc = np.zeros((T, 6, 2, 6, 2))
-        loc[:, :, 0, :, 0] = m_scal
-        loc[:, :, 1, :, 1] = m_scal
-        self.M_u = scatter_blocks(loc, cells, shape_uu)
-
+        # g[t,d,c,a,b] = (d_d phi_a, d_c phi_b): R[(a,b),(j,k)] contracted
+        # with det J J^-1[j,d] J^-1[k,c], one 4 x 4 product per cell.  Not
+        # `@`: a threaded OpenBLAS GEMM here slows the eigensolves after it
+        jj = dJ[..., None, None] * iT[:, :, None, :, None] * iT[:, None, :, None, :]
+        g = np.einsum("tk,ak->ta", jj.reshape(-1, 4),
+                      space.grad_tensor).reshape(-1, 2, 2, 6, 6)
+        gg = g[:, 0, 0] + g[:, 1, 1]
+        # full-gradient stiffness (grad u, grad v), used by certification
+        self.K_G = scatter_blocks(vector_blocks(gg), cells, (Nu, Nu))
         # symmetric-gradient stiffness: (Du, Dv) for u = phi_b e_d,
         # v = phi_a e_c is (1/2)[delta_cd grad(phi_a).grad(phi_b)
         # + d_d(phi_a) d_c(phi_b)]
-        gg = np.einsum("tq,taqi,tbqi->tab", wdet, G, G)
-        gd = np.einsum("tq,taqd,tbqc->tadbc", wdet, G, G)
-        loc = np.zeros((T, 6, 2, 6, 2))
-        loc[:, :, 0, :, 0] = 0.5 * (gg + gd[:, :, 0, :, 0])
-        loc[:, :, 1, :, 1] = 0.5 * (gg + gd[:, :, 1, :, 1])
-        loc[:, :, 0, :, 1] = 0.5 * gd[:, :, 1, :, 0]
-        loc[:, :, 1, :, 0] = 0.5 * gd[:, :, 0, :, 1]
-        self.K_D = scatter_blocks(loc, cells, shape_uu)
+        self.K_D = scatter_blocks(0.5 * (vector_blocks(gg) + g.transpose(0, 3, 2, 4, 1)),
+                                  cells, (Nu, Nu))
 
-        # full-gradient stiffness (grad u, grad v), used by certification
-        loc = np.zeros((T, 6, 2, 6, 2))
-        loc[:, :, 0, :, 0] = gg
-        loc[:, :, 1, :, 1] = gg
-        self.K_G = scatter_blocks(loc, cells, shape_uu)
-
-        # divergence coupling (q, div u) and pressure integrals (q, 1)
-        bloc = np.einsum("tq,iq,tbqd->tibd", wdet, psi, G).reshape(T, 3, 12)
-        self.B_div = scatter_blocks(bloc, block_indices(space.cell_pdofs, cd),
-                                    shape_pu)
-        self.e_p = np.bincount(space.cell_pdofs.ravel(),
-                               np.einsum("tq,iq->ti", wdet, psi).ravel(),
+        # divergence coupling (q, div u), pressure integrals (q, 1) and
+        # the pressure mass (p, q), used by certification
+        bloc = space.div_tensor.reshape(18, 2) @ (dJ * space.invJ)
+        self.B_div = scatter_blocks(bloc, block_indices(pd, cd), (Np, Nu))
+        self.e_p = np.bincount(pd.ravel(), (dJ[:, 0] * space.p1_integrals).ravel(),
                                minlength=Np)
+        self.M_p = scatter_blocks(dJ * space.p1_mass, block_indices(pd, pd), (Np, Np))
 
         # slip-boundary blocks
         sl = self.slip = FacetTable(space, space.slip_facets)
@@ -130,10 +115,21 @@ class FormCache:
         # <q, v.n>
         btt = np.einsum("fq,fiq,fbq->fib", sl.w, space.fpsi[sl.facets], sl.tr)
         self.B_n = scatter_blocks(np.einsum("fib,fd->fibd", btt, sl.n),
-                                  block_indices(space.cell_pdofs[sl.cells], sl.dofs),
-                                  shape_pu)
+                                  block_indices(pd[sl.cells], sl.dofs), (Np, Nu))
 
         self.G_c = (self.B_div - self.B_n).tocsr()   # paper continuity operator
+
+    @functools.cached_property
+    def c_tr(self) -> float:
+        """`stability.inverse_trace_constant` of the space, on first use."""
+        from . import stability
+        return stability.inverse_trace_constant(self.space)
+
+    @functools.cached_property
+    def c_trK(self) -> float:
+        """`stability.trace_constant_xh` of the space, on first use."""
+        from . import stability
+        return stability.trace_constant_xh(self.space)
 
     @functools.cached_property
     def pattern(self) -> "JacobianPattern":
@@ -386,11 +382,10 @@ class AssemblyContext:
     def _resolve_alpha(self) -> float:
         if self.config.alpha != "auto":
             return float(self.config.alpha)
-        from .stability import resolve_alpha, inverse_trace_constant, trace_constant_xh
+        from .stability import resolve_alpha
 
-        c_tr = inverse_trace_constant(self.space)
-        c_trk = trace_constant_xh(self.space) if self.law.lam > 0 else None
-        return resolve_alpha(self.config, self.law, c_tr, c_trk)
+        c_trk = self.cache.c_trK if self.law.lam > 0 else None
+        return resolve_alpha(self.config, self.law, self.cache.c_tr, c_trk)
 
     # -- cached linear operator and RHS --------------------------------------
 

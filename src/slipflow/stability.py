@@ -19,9 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import FacetTable, TaylorHoodSpace, block_indices, scatter_blocks
+from .fespace import FacetTable, TaylorHoodSpace
 from .forms import NitscheConfig, get_cache
-from .mesh import GEOM_TOL
+from .mesh import GEOM_TOL, MeshError
 from .sliplaw import SlipLaw, navier
 
 
@@ -51,15 +51,12 @@ def inverse_trace_constant(space: TaylorHoodSpace) -> float:
     all (boundary facet, cell) pairs of the scalar P2 space, returned as
     the square root."""
     mesh = space.mesh
-    h = mesh.facet_h
-    Tr = space.ftr                                                 # (F,6,Qf)
-    MF = np.einsum("fq,faq,fbq->fab", h[:, None] * space.fqweights, Tr, Tr)
-    MK = np.einsum("f,q,aq,bq->fab", space.detJ[mesh.facet_cells],
-                   space.qweights, space.phi, space.phi)
-    # h MF x = lam MK x  <=>  (L^-1 h MF L^-T) y = lam y with MK = L L^T
-    Linv = np.linalg.inv(np.linalg.cholesky(MK))
-    C = Linv @ (h[:, None, None] * MF) @ Linv.transpose(0, 2, 1)
-    return float(np.sqrt(np.linalg.eigvalsh(C)[:, -1].max(initial=0.0)))
+    bd = FacetTable(space, np.arange(mesh.num_facets))
+    # the cell mass is det J M^ with M^ = L L^T the reference mass, so
+    # h MF x = lam MK x  <=>  (h / det J) (L^-1 MF L^-T) y = lam y
+    Linv = np.linalg.inv(np.linalg.cholesky(space.mass_tensor))
+    lam = np.linalg.eigvalsh(Linv @ bd.trace_mass() @ Linv.T)[:, -1]
+    return float(np.sqrt((mesh.facet_h / space.detJ[bd.cells] * lam).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +133,9 @@ def wall_facets(space: TaylorHoodSpace, walls) -> np.ndarray:
     """Boundary facet indices of named unit-square walls
     ('top', 'bottom', 'left', 'right'), up to GEOM_TOL."""
     lines = {"top": (1, 1.0), "bottom": (1, 0.0), "left": (0, 0.0), "right": (0, 1.0)}
+    if isinstance(walls, str) or not all(w in lines for w in walls):
+        raise MeshError(f"walls must be a list of names from {sorted(lines)}, "
+                        f"got {walls!r}")
     mids = space.mesh.facet_midpoints()
     hit = np.zeros(len(mids), dtype=bool)
     for w in walls:
@@ -188,9 +188,7 @@ def infsup_constant(space: TaylorHoodSpace) -> float:
 
     K = cache.K_G[np.ix_(free, free)]
     B = cache.B_div[:, free]
-    mloc = np.einsum("tq,aq,bq->tab", space.wdet, space.psi, space.psi)
-    Mp = scatter_blocks(mloc, block_indices(space.cell_pdofs, space.cell_pdofs),
-                        (space.n_pdofs, space.n_pdofs)).tocsc()
+    Mp = cache.M_p.tocsc()
 
     lu = _splu(sp.bmat([[K, B.T], [B, SIGMA * Mp]]), "saddle-point matrix")
     zero = np.zeros(free.size)

@@ -3,7 +3,8 @@
 The boundary integrals as one-facet (and one-quadrature-point) at a time
 loops, the versions of the vectorized boundary layer in `slipflow.forms`
 and `slipflow.stability`; the cell-quadrature kernels as plain `einsum`
-contractions over physical basis gradients; the residual block by
+contractions over physical basis gradients, and the constant cell
+matrices of the form cache integrated the same way; the residual block by
 block; the Jacobian as CSR arithmetic (block matrix, then S J S
 elimination); the standard trilinear form that the skew form is checked
 against; the Korn, trace and inf-sup constants as dense full-spectrum
@@ -332,6 +333,60 @@ def infsup_constant_colamd(space):
 def physical_gradients(space):
     """Gradients (T,6,Q,2) of the P2 basis at the cell quadrature points."""
     return np.einsum("aqj,tji->taqi", space.dphi, space.invJ)
+
+
+def cell_matrices(space):
+    """(M_u, K_D, K_G, B_div, e_p, M_p) integrated point by point through
+    the physical gradients G, without the reference tensors."""
+    T = space.mesh.num_cells
+    wdet = space.wdet                                           # (T,Q)
+
+    Nu, Np = space.n_vdofs, space.n_pdofs
+    cd = space.cell_vdofs
+    cells = block_indices(cd, cd)
+    shape_uu = (Nu, Nu)
+    shape_pu = (Np, Nu)
+
+    phi, psi = space.phi, space.psi
+    # physical gradients of the P2 basis: grad_x phi = invJ^T grad_xi phi
+    G = np.einsum("aqj,tji->taqi", space.dphi, space.invJ)     # (T,6,Q,2)
+
+    # scalar and vector mass
+    m_scal = np.einsum("tq,aq,bq->tab", wdet, phi, phi)
+    loc = np.zeros((T, 6, 2, 6, 2))
+    loc[:, :, 0, :, 0] = m_scal
+    loc[:, :, 1, :, 1] = m_scal
+    M_u = scatter_blocks(loc, cells, shape_uu)
+
+    # symmetric-gradient stiffness: (Du, Dv) for u = phi_b e_d,
+    # v = phi_a e_c is (1/2)[delta_cd grad(phi_a).grad(phi_b)
+    # + d_d(phi_a) d_c(phi_b)]
+    gg = np.einsum("tq,taqi,tbqi->tab", wdet, G, G)
+    gd = np.einsum("tq,taqd,tbqc->tadbc", wdet, G, G)
+    loc = np.zeros((T, 6, 2, 6, 2))
+    loc[:, :, 0, :, 0] = 0.5 * (gg + gd[:, :, 0, :, 0])
+    loc[:, :, 1, :, 1] = 0.5 * (gg + gd[:, :, 1, :, 1])
+    loc[:, :, 0, :, 1] = 0.5 * gd[:, :, 1, :, 0]
+    loc[:, :, 1, :, 0] = 0.5 * gd[:, :, 0, :, 1]
+    K_D = scatter_blocks(loc, cells, shape_uu)
+
+    # full-gradient stiffness (grad u, grad v)
+    loc = np.zeros((T, 6, 2, 6, 2))
+    loc[:, :, 0, :, 0] = gg
+    loc[:, :, 1, :, 1] = gg
+    K_G = scatter_blocks(loc, cells, shape_uu)
+
+    # divergence coupling (q, div u) and pressure integrals (q, 1)
+    bloc = np.einsum("tq,iq,tbqd->tibd", wdet, psi, G).reshape(T, 3, 12)
+    B_div = scatter_blocks(bloc, block_indices(space.cell_pdofs, cd), shape_pu)
+    e_p = np.bincount(space.cell_pdofs.ravel(),
+                      np.einsum("tq,iq->ti", wdet, psi).ravel(), minlength=Np)
+
+    # pressure mass (p, q)
+    mloc = np.einsum("tq,aq,bq->tab", space.wdet, space.psi, space.psi)
+    M_p = scatter_blocks(mloc, block_indices(space.cell_pdofs, space.cell_pdofs),
+                         (space.n_pdofs, space.n_pdofs))
+    return M_u, K_D, K_G, B_div, e_p, M_p
 
 
 def velocity_at_quadrature(space, u):

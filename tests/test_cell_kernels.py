@@ -2,6 +2,11 @@
 fixed-pattern Jacobian against the einsum, block-by-block and
 CSR-arithmetic references in `loop_reference.py`.
 
+The constant cell matrices of the form cache (masses, stiffnesses,
+divergence and pressure integrals) contract the space's reference
+tensors with det J and J^-1; their reference integrates them point by
+point, on a `right` and a `crossed` mesh, with the same stored pattern
+and values to 1e-14 of each matrix's largest entry.
 The convection residual, its Jacobian and `trilinear_skew` all contract
 one reference tensor (`space.skew_tensor`) with cell data; the
 references integrate the same forms point by point at the quadrature
@@ -83,6 +88,22 @@ def test_velocity_at_quadrature_matches_einsum(space, rng):
     for new, old in zip(space.velocity_at_quadrature(u),
                         ref.velocity_at_quadrature(space, u)):
         close(new, old)
+
+
+@pytest.mark.parametrize("n,diagonal", [(3, "right"), (7, "crossed")])
+def test_constant_cell_matrices_match_quadrature(n, diagonal):
+    # the reference-tensor cell matrices against the point-by-point build
+    space = TaylorHoodSpace(tag_boundary(build_unit_square(n, diagonal),
+                                         top_wall_tagger()))
+    cache = get_cache(space)
+    got = (cache.M_u, cache.K_D, cache.K_G, cache.B_div, cache.e_p, cache.M_p)
+    for name, a, b in zip(("M_u", "K_D", "K_G", "B_div", "e_p", "M_p"), got,
+                          ref.cell_matrices(space)):
+        if name != "e_p":
+            assert np.array_equal(a.indices, b.indices), name
+            assert np.array_equal(a.indptr, b.indptr), name
+            a, b = a.data, b.data
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
 
 
 def test_convection_kernels_match_einsum(space, rng):

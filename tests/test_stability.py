@@ -7,9 +7,10 @@ import scipy.sparse.linalg as spla
 
 import loop_reference as ref
 from slipflow.fespace import TaylorHoodSpace
-from slipflow.forms import NitscheConfig, get_cache
+from slipflow.forms import AssemblyContext, NitscheConfig, get_cache
 from slipflow.mesh import (
-    BoundaryTag, _finish_mesh, build_unit_square, tag_boundary, top_wall_tagger,
+    BoundaryTag, MeshError, _finish_mesh, build_unit_square, tag_boundary,
+    top_wall_tagger,
 )
 from slipflow.sliplaw import fang_regularized, navier
 from slipflow.stability import (
@@ -106,6 +107,14 @@ def test_korn_two_noncollinear_walls_positive():
     space = make_space(8)
     eig, _ = korn_normal_trace_min_eig(space, wall_facets(space, ["top", "left"]))
     assert eig > 1e-3
+
+
+@pytest.mark.parametrize("walls", ["top", ["top", "front"], ("left", None)],
+                         ids=["bare-string", "unknown-name", "none"])
+def test_wall_facets_rejects_unknown_walls(walls):
+    # a bare string would iterate to its letters
+    with pytest.raises(MeshError, match="bottom.*left.*right.*top"):
+        wall_facets(make_space(2), walls)
 
 
 def test_korn_scale_invariance():
@@ -326,6 +335,24 @@ def test_resolve_alpha_without_slip_wall_is_monotone():
         == rep.alpha_auto == 1.1 * 2 * 2 * rep.c_tr**2
     assert resolve_alpha(NitscheConfig(alpha="auto"), law, 3.0, 0.0) == \
         resolve_alpha(NitscheConfig(alpha="auto"), navier(1.0), 3.0)
+
+
+def test_auto_alpha_constants_are_computed_once_per_space(monkeypatch):
+    stab = importlib.import_module("slipflow.stability")
+    calls = {"inverse_trace_constant": 0, "trace_constant_xh": 0}
+    for name in calls:
+        def counted(space, _name=name, _fn=getattr(stab, name)):
+            calls[_name] += 1
+            return _fn(space)
+        monkeypatch.setattr(stab, name, counted)
+    space = make_space(4)
+    law = fang_regularized(1.6, 1.5, 10, 2e-4)
+    alphas = [AssemblyContext(space, NitscheConfig(alpha="auto", nu=nu), law,
+                              dirichlet=0.0).alpha for nu in (1.0, 2.0)]
+    assert calls == {"inverse_trace_constant": 1, "trace_constant_xh": 1}
+    c_tr, c_trk = inverse_trace_constant(space), trace_constant_xh(space)
+    assert alphas == [resolve_alpha(NitscheConfig(alpha="auto", nu=nu), law,
+                                    c_tr, c_trk) for nu in (1.0, 2.0)]
 
 
 def test_resolve_alpha_rejects_large_lambda():
