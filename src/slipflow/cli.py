@@ -233,10 +233,12 @@ def _check_settings(cfg: ExperimentConfig) -> None:
 
 
 def _march_counts(traj: solver.Trajectory) -> dict:
-    """What the march's Newton solves did, summed over its steps."""
+    """What the march's Newton solves did, summed over its steps: counts,
+    and the wall times of factorizing and of building W."""
     return {k: sum(getattr(r, k) for r in traj.reports)
             for k in ("iterations", "factorizations", "refreshes", "chord_accepted",
-                      "chord_rejected", "refinements", "fallbacks")}
+                      "chord_rejected", "refinements", "fallbacks", "factor_s",
+                      "refresh_s")}
 
 
 def _csv(path: Path, header: str, rows, echo: str) -> None:
@@ -391,7 +393,7 @@ def run_dynamic(cfg: ExperimentConfig, outdir: Path,
         traj = solver.time_march(
             ctx, fespace.SystemState.zero(space), cfg.T, cfg.delta,
             probes=[(cfg.probe_x, cfg.probe_y)], cfg=_newton(cfg),
-            record_profiles=False,
+            record_profiles=False, record_energy=True,
         )
         series = traj.probe_series[:, 0]
         tag = f"beta{bs:g}"

@@ -39,6 +39,31 @@ class FormsError(Exception):
     """Invalid assembly configuration."""
 
 
+# OpenBLAS computes a product of m n k multiply-adds on the calling
+# thread while m n k <= 65,536 x GEMM_MULTITHREAD_THRESHOLD (4 by
+# default); a matrix-vector product (n = 1) stays there longer.  A
+# worker it wakes spins for about 0.1 s after the product, beside the
+# single-threaded sparse LU work that follows on the Newton path
+# (README, "Dense kernels and BLAS threads")
+SERIAL_MNK = 65536 * 4
+
+
+def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D a and a 1-D or 2-D b, computed in row blocks of a
+    of at most SERIAL_MNK multiply-adds each (one row, where a row takes
+    more), so that OpenBLAS computes every block on the calling thread.
+    Each row of a @ b depends on that row of a alone, so the blocks only
+    split the work."""
+    m, k = a.shape
+    rows = max(1, SERIAL_MNK // max(1, k * (b.shape[1] if b.ndim == 2 else 1)))
+    if m <= rows:
+        return np.matmul(a, b)
+    out = np.empty((m,) + b.shape[1:], dtype=np.result_type(a, b))
+    for i in range(0, m, rows):
+        np.matmul(a[i:i + rows], b, out=out[i:i + rows])
+    return out
+
+
 @dataclasses.dataclass
 class NitscheConfig:
     nu: float = 1.0
@@ -83,7 +108,9 @@ class FormCache:
 
         # g[t,d,c,a,b] = (d_d phi_a, d_c phi_b): R[(a,b),(j,k)] contracted
         # with det J J^-1[j,d] J^-1[k,c], one 4 x 4 product per cell.  Not
-        # `@`: a threaded OpenBLAS GEMM here slows the eigensolves after it
+        # `@`, which runs a threaded OpenBLAS GEMM that slows the
+        # eigensolves after it, nor `blocked_matmul`: the einsum's rounding
+        # decides which entries cancel, and the stability LU fill with them
         jj = dJ[..., None, None] * iT[:, :, None, :, None] * iT[:, None, :, None, :]
         g = np.einsum("tk,ak->ta", jj.reshape(-1, 4),
                       space.grad_tensor).reshape(-1, 2, 2, 6, 6)
@@ -535,7 +562,7 @@ def _skew(space: TaylorHoodSpace, u: np.ndarray):
     tensor K = space.skew_tensor."""
     U = u[space.cell_vdofs].reshape(-1, 6, 2)
     S = (0.5 * space.detJ)[:, None, None] * space.invJ
-    H = (U @ np.swapaxes(S, 1, 2)).reshape(-1, 12) @ space.skew_tensor
+    H = blocked_matmul((U @ np.swapaxes(S, 1, 2)).reshape(-1, 12), space.skew_tensor)
     return U, S, H.reshape(-1, 6, 6)
 
 
@@ -564,7 +591,8 @@ def _convection_jacobian(cache: FormCache, u: np.ndarray) -> np.ndarray:
     U, S, H = _skew(space, u)
     T = len(U)
     # sum over b' of K[(b,j),(a,b')] u_c[b'], rows (t, c), columns (b, j, a)
-    KU = np.swapaxes(U, 1, 2).reshape(2 * T, 6) @ space.skew_tensor.reshape(72, 6).T
+    KU = blocked_matmul(np.swapaxes(U, 1, 2).reshape(2 * T, 6),
+                        space.skew_tensor.reshape(72, 6).T)
     # then sum over j of S[j, d]: loc (T,c,b,d,a)
     loc = np.swapaxes(S, 1, 2)[:, None, None] @ KU.reshape(T, 2, 6, 2, 6)
     loc[:, 0, :, 0] += np.swapaxes(H, 1, 2)

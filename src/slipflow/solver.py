@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import time
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -83,8 +84,9 @@ class NewtonConfig:
 
 @dataclasses.dataclass
 class NewtonReport:
-    """What one newton_solve call did.  The counts cover this call only,
-    also when its factorization is reused from an earlier call."""
+    """What one newton_solve call did.  The counts and wall times cover
+    this call only, also when its factorization is reused from an
+    earlier call."""
 
     iterations: int
     residuals: list
@@ -97,6 +99,8 @@ class NewtonReport:
     lu_fill: int = 0            # stored entries of L and U, summed
     refinements: int = 0        # solves refined once
     refreshes: int = 0          # slip refreshes set up (W = A'^-1 U built)
+    factor_s: float = 0.0       # wall time in the LU factorizations
+    refresh_s: float = 0.0      # wall time building W
 
 
 class FactorCache:
@@ -170,7 +174,9 @@ class _Factor:
 
     def _factor(self, report: NewtonReport, **options):
         """Factorize A'[q][:, q] for the pattern's order q."""
+        t0 = time.perf_counter()
         self.lu = spla.splu(self.pattern.bordered(self.J.data), **options)
+        report.factor_s += time.perf_counter() - t0
         report.factorizations += 1
         report.lu_fill += self.lu.nnz
 
@@ -186,8 +192,8 @@ class _Factor:
     def refresh(self, ctx: AssemblyContext, u: np.ndarray,
                 report: NewtonReport) -> bool:
         """Make the solves solve with the slip block at u; False, and
-        plain solves, where it equals Sigma_f.  Building W is counted in
-        `report`."""
+        plain solves, where it equals Sigma_f.  Building W is counted and
+        timed in `report`."""
         D = slip_block(ctx, u) - self.sigma
         if not D.any():
             self.D = None
@@ -195,6 +201,7 @@ class _Factor:
         if self.W is None:
             # W and C in the order q: rows q^-1[S] of W hold C.  W is
             # solved for 8 columns at a time, so no N x r identity is held
+            t0 = time.perf_counter()
             self.S = ctx.cache.slip_support[0]
             self.Sq = np.argsort(self.pattern.order)[self.S]
             self.W = np.empty((self.pattern.n, self.S.size), order="F")
@@ -204,6 +211,7 @@ class _Factor:
                 U[rows, np.arange(rows.size)] = 1.0
                 self.W[:, k:k + 8] = self.lu.solve(U)
             self.C = self.W[self.Sq]
+            report.refresh_s += time.perf_counter() - t0
             report.refreshes += 1
         self.D = D
         try:
@@ -417,7 +425,8 @@ class Trajectory:
     probe_points: list                # list of (x, y)
     probe_series: np.ndarray          # (m+1, n_probes) of |u_tau|
     profiles: list                    # WallProfile per grid point (incl. t=0)
-    energy: list                      # EnergyBalance per step (length m)
+    energy: list                      # EnergyBalance per step (length m; empty
+                                      # unless the march ran with record_energy)
     reports: list                     # NewtonReport per step (length m)
     final_state: SystemState
 
@@ -498,6 +507,7 @@ def time_march(
     probes: Sequence = (),
     cfg: NewtonConfig = NewtonConfig(),
     record_profiles: bool = True,
+    record_energy: bool = False,
 ) -> Trajectory:
     """March the backward Euler scheme from u0 to time T.
 
@@ -508,7 +518,9 @@ def time_march(
     starts from the linear 2 u_{j-1} - u_{j-2}, and the first step, and
     a step after one that took no Newton iteration, from u_{j-1}.
     Failures abort with the step index.  A probe outside the mesh raises
-    MeshError before the first step.
+    MeshError before the first step.  With record_energy, every step's
+    discrete energy identity (`forms.energy_balance`) is recorded in
+    `Trajectory.energy`.
     """
     m = time_steps(T, delta)
     E, proj = _setup_probes(ctx, probes)
@@ -545,7 +557,8 @@ def time_march(
             raise _prefixed(exc, f"time step {j} (t = {t:.6g}) failed")
         prev, state = (state, *prev[:1]), new
         reports.append(report)
-        energies.append(energy_balance(state, ctx))
+        if record_energy:
+            energies.append(energy_balance(state, ctx))
         series[j] = _probe_values(state, E, proj)
         if record_profiles:
             profiles.append(boundary_functionals(state, ctx))

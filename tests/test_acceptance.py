@@ -152,6 +152,7 @@ def test_criterion_04_energy_identity():
     traj = time_march(
         ctx, SystemState.zero(space), T=0.25, delta=0.005,
         cfg=NewtonConfig(abs_tol=1e-11, rel_tol=1e-11, max_iter=60),
+        record_energy=True,
     )
     rel = max(abs(e.residual) / e.scale for e in traj.energy)
     pmin = min(e.penalty_form for e in traj.energy)

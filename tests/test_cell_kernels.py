@@ -13,7 +13,9 @@ references integrate the same forms point by point at the quadrature
 points.  Every comparison is to 1e-13 relative, on top-wall slip and on
 slip on all four walls, steady and unsteady, with and without
 convection.  The polarization `convection_derivative` is checked
-against the assembled convection Jacobian.  The references work on
+against the assembled convection Jacobian.  The convection kernels are
+also checked on a mesh large enough that their products take several
+row blocks.  The references work on
 (u, p, m) with a mean-pressure multiplier m; the system on (u, p) is
 their leading block at m = 0.
 One residual call at n = 24 must also allocate less than the
@@ -50,9 +52,14 @@ RTOL = 1e-13
 
 @pytest.fixture(scope="module", params=["top", "all"])
 def space(request):
-    tagger = top_wall_tagger() if request.param == "top" else (
-        lambda m: BoundaryTag.SLIP)
-    return TaylorHoodSpace(tag_boundary(build_unit_square(5, "crossed"), tagger))
+    """Slip on the top wall or on all four of the crossed n = 5 mesh (100
+    cells); "top-20" is the right n = 20 mesh (800 cells), on which the
+    convection kernels' products take more than one row block
+    (`forms.blocked_matmul`)."""
+    wall, _, n = request.param.partition("-")
+    tagger = top_wall_tagger() if wall == "top" else (lambda m: BoundaryTag.SLIP)
+    mesh = build_unit_square(int(n), "right") if n else build_unit_square(5, "crossed")
+    return TaylorHoodSpace(tag_boundary(mesh, tagger))
 
 
 def make_ctx(space, steady, convection, rng, law=None, dirichlet=0.0):
@@ -106,6 +113,7 @@ def test_constant_cell_matrices_match_quadrature(n, diagonal):
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
 
 
+@pytest.mark.parametrize("space", ["top", "all", "top-20"], indirect=True)
 def test_convection_kernels_match_einsum(space, rng):
     for scale in (1e-3, 1.0, 30.0):
         u = scale * rng.normal(size=space.n_vdofs)
@@ -114,6 +122,7 @@ def test_convection_kernels_match_einsum(space, rng):
               ref.convection_jacobian(space, u))
 
 
+@pytest.mark.parametrize("space", ["top", "all", "top-20"], indirect=True)
 def test_convection_derivative_is_the_jacobian_change(space, rng):
     # (C(u) - C(u_f)) d = C(u - u_f) d, C linear in its point; the
     # polarization helper leaves the Dirichlet rows zero

@@ -14,6 +14,7 @@ from slipflow.forms import (
     NitscheConfig,
     assemble_jacobian,
     assemble_residual,
+    energy_balance,
 )
 from slipflow.mesh import (
     BoundaryTag, MeshError, build_unit_square, tag_boundary, top_wall_tagger,
@@ -298,7 +299,8 @@ def test_march_with_stick_slip_energy_recorded(space4):
         forcing=forcing(sol, 1.0), dirichlet=0.0,
         delta=0.01, u_old=np.zeros(space4.n_vdofs),
     )
-    traj = time_march(ctx, SystemState.zero(space4), T=0.05, delta=0.01)
+    traj = time_march(ctx, SystemState.zero(space4), T=0.05, delta=0.01,
+                      record_energy=True)
     assert len(traj.energy) == 5
     for eb in traj.energy:
         assert abs(eb.residual) <= 1e-7 * eb.scale
@@ -340,6 +342,47 @@ def test_two_factorizations_never_coexist(space4, monkeypatch):
                SystemState.zero(space4), T=1.5, delta=0.1)
     assert sum(r.chord_rejected for r in reports) == len(coexisting) - 1 > 10
     assert coexisting == [0] * len(coexisting)
+
+
+def test_energy_is_recorded_only_on_request(space4, monkeypatch):
+    # a default march never calls energy_balance; with record_energy it
+    # records, at every step, the balance at that step's solution and
+    # data, and the march itself is the same
+    calls = []
+
+    def counted(state, ctx):
+        eb = energy_balance(state, ctx)
+        calls.append((state.copy(), ctx.t, ctx.u_old.copy(), eb))
+        return eb
+
+    monkeypatch.setattr(solver, "energy_balance", counted)
+    plain = time_march(stick_slip_march_ctx(space4), SystemState.zero(space4),
+                       T=0.5, delta=0.1)
+    assert plain.energy == [] and calls == []
+    traj = time_march(stick_slip_march_ctx(space4), SystemState.zero(space4),
+                      T=0.5, delta=0.1, record_energy=True)
+    assert len(calls) == len(traj.energy) == 5
+    assert all(eb is call[3] for eb, call in zip(traj.energy, calls))
+    assert np.array_equal(traj.probe_series, plain.probe_series)
+    assert np.array_equal(traj.final_state.u, plain.final_state.u)
+    assert np.array_equal(traj.final_state.p, plain.final_state.p)
+    ctx = stick_slip_march_ctx(space4)
+    ctx.set_timestep(0.1)
+    for state, t, u_old, eb in calls:
+        ctx.advance(t, u_old)
+        assert energy_balance(state, ctx) == eb
+
+
+def test_phase_times_are_positive_exactly_where_their_work_ran(space4):
+    # through stick-to-slip at nu = 0.02 some steps factorize and build
+    # W, and others reuse the factorization and its W
+    traj = time_march(stick_slip_march_ctx(space4, nu=0.02, lam=10.0),
+                      SystemState.zero(space4), T=1.5, delta=0.1)
+    for r in traj.reports:
+        assert (r.factor_s > 0) == (r.factorizations > 0)
+        assert (r.refresh_s > 0) == (r.refreshes > 0)
+    assert {r.factorizations > 0 for r in traj.reports} == {True, False}
+    assert {r.refreshes > 0 for r in traj.reports} == {True, False}
 
 
 def test_profiles_not_recorded_is_a_config_error(space4):
