@@ -234,11 +234,11 @@ def _check_settings(cfg: ExperimentConfig) -> None:
 
 def _march_counts(traj: solver.Trajectory) -> dict:
     """What the march's Newton solves did, summed over its steps: counts,
-    and the wall times of factorizing and of building W."""
+    and the wall times of its phases."""
     return {k: sum(getattr(r, k) for r in traj.reports)
             for k in ("iterations", "factorizations", "refreshes", "chord_accepted",
                       "chord_rejected", "refinements", "fallbacks", "factor_s",
-                      "refresh_s")}
+                      "refresh_s", "residual_s", "jacobian_s", "linsolve_s")}
 
 
 def _csv(path: Path, header: str, rows, echo: str) -> None:

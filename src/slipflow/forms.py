@@ -108,9 +108,8 @@ class FormCache:
 
         # g[t,d,c,a,b] = (d_d phi_a, d_c phi_b): R[(a,b),(j,k)] contracted
         # with det J J^-1[j,d] J^-1[k,c], one 4 x 4 product per cell.  Not
-        # `@`, which runs a threaded OpenBLAS GEMM that slows the
-        # eigensolves after it, nor `blocked_matmul`: the einsum's rounding
-        # decides which entries cancel, and the stability LU fill with them
+        # `@`, which runs a threaded OpenBLAS GEMM that slows the sparse
+        # LUs after it
         jj = dJ[..., None, None] * iT[:, :, None, :, None] * iT[:, None, :, None, :]
         g = np.einsum("tk,ak->ta", jj.reshape(-1, 4),
                       space.grad_tensor).reshape(-1, 2, 2, 6, 6)
@@ -159,6 +158,20 @@ class FormCache:
         return stability.trace_constant_xh(self.space)
 
     @functools.cached_property
+    def nd_rank(self) -> np.ndarray:
+        """Each velocity node's nested-dissection rank (`nd_paths`), on
+        first use."""
+        return nd_paths(self.space)[0]
+
+    def nd_sort(self, dofs: np.ndarray) -> np.ndarray:
+        """The ascending (u, p) unknowns `dofs` in nested-dissection order:
+        by the rank of their node, a pressure DOF's node being its vertex,
+        velocity before pressure at equal rank, then by index."""
+        nu = self.space.n_vdofs
+        node = np.where(dofs < nu, dofs // 2, dofs - nu)
+        return dofs[np.lexsort((dofs >= nu, self.nd_rank[node]))]
+
+    @functools.cached_property
     def pattern(self) -> "JacobianPattern":
         """The Jacobian sparsity pattern, built on the first Jacobian."""
         return JacobianPattern(self)
@@ -193,11 +206,12 @@ def nd_order(space: TaylorHoodSpace) -> np.ndarray:
     """Nested-dissection order q of the (u, p) unknowns (A. George, SIAM
     J. Numer. Anal. 10(2), 1973): each box of `nd_paths` is ordered left,
     right, then separator, each block with its velocity DOFs before the
-    pressure DOFs of its vertices, after the Dirichlet velocity DOFs."""
-    block = nd_paths(space)[0]
-    key = np.concatenate([np.repeat(block, 2), block[:space.n_pdofs]])
-    free = ~np.isin(np.arange(key.size), space.dirichlet_vdofs)
-    return np.lexsort((np.arange(key.size) >= space.n_vdofs, key, free))
+    pressure DOFs of its vertices (`FormCache.nd_sort`), after the
+    Dirichlet velocity DOFs in the same order."""
+    cache, fixed = get_cache(space), space.dirichlet_vdofs
+    rest = np.ones(space.n_vdofs + space.n_pdofs, dtype=bool)
+    rest[fixed] = False
+    return np.concatenate([cache.nd_sort(fixed), cache.nd_sort(np.flatnonzero(rest))])
 
 
 def nd_paths(space: TaylorHoodSpace) -> tuple[np.ndarray, np.ndarray]:

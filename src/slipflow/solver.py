@@ -101,6 +101,9 @@ class NewtonReport:
     refreshes: int = 0          # slip refreshes set up (W = A'^-1 U built)
     factor_s: float = 0.0       # wall time in the LU factorizations
     refresh_s: float = 0.0      # wall time building W
+    residual_s: float = 0.0     # wall time assembling residuals
+    jacobian_s: float = 0.0     # wall time assembling Jacobians
+    linsolve_s: float = 0.0     # wall time in the solves and their checks
 
 
 class FactorCache:
@@ -307,9 +310,11 @@ def newton_solve(
     if factors is None:
         factors = FactorCache()   # reuse within this solve only
 
+    t0 = time.perf_counter()
     r = assemble_residual(state, ctx)
     rnorm = float(np.linalg.norm(r))
-    report = NewtonReport(0, [rnorm], [], False)
+    report = NewtonReport(0, [rnorm], [], False,
+                          residual_s=time.perf_counter() - t0)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
     log.info("step %d iter 0 resid %.6e ls 0", step_label, rnorm)
 
@@ -326,13 +331,18 @@ def newton_solve(
         where = f"step {step_label}, Newton iteration {it + 1}"
         reused = factors.factor is not None
         if not reused:
+            t0 = time.perf_counter()
             J = assemble_jacobian(state, ctx)
+            report.jacobian_s += time.perf_counter() - t0
             if not np.all(np.isfinite(J.data)):
                 raise SolverError(f"{where}: the Jacobian is not finite")
             factors.factor = _Factor(J, ctx, report, state.u)
             del J   # freeing the factor frees its Jacobian
         refreshed = reused and factors.factor.refresh(ctx, state.u, report)
+        # a fallback's factorization counts in factor_s only
+        t0, factor_s = time.perf_counter(), report.factor_s
         d = factors.factor.solve(-r, report)
+        report.linsolve_s += time.perf_counter() - t0 - (report.factor_s - factor_s)
         if d is None:
             # a refreshed solve missed its check: factorize afresh
             factors.factor = None
@@ -346,8 +356,10 @@ def newton_solve(
         lam, best = 1.0, None
         for halving in range(LS_MAX + 1):
             cand = ctx.unpack(x + lam * d)
+            t0 = time.perf_counter()
             rc = assemble_residual(cand, ctx)
             rcn = float(np.linalg.norm(rc))
+            report.residual_s += time.perf_counter() - t0
             # a non-finite trial is never taken
             if np.isfinite(rcn) and (best is None or rcn < best[1]):
                 best = (cand, rcn, rc, halving)

@@ -7,7 +7,9 @@ The inverse trace constant is a batch of 6 x 6 eigenproblems.  The other
 three take one extreme eigenvalue of a sparse pencil, at every mesh size,
 from ARPACK's Lanczos (`eigsh`) at one fixed start vector: shift-invert at
 SIGMA for Korn and inf-sup, regular mode for the trace constant.  The one
-sparse LU each of them needs is made by `_splu`, never by ARPACK.
+sparse LU each of them needs is made by `_splu`, never by ARPACK, of its
+matrix taken out in the space's nested-dissection order
+(`FormCache.nd_sort`), the order of every Newton LU.
 """
 
 from __future__ import annotations
@@ -70,20 +72,21 @@ SIGMA = -1e-8
 
 # SuperLU's diagonal pivot threshold.  Every matrix factorized here is
 # symmetric: A - SIGMA M and A_x are SPD, and the inf-sup saddle-point
-# matrix is quasi-definite (SIGMA < 0), so the symmetric minimum-degree
-# order on A + A^T with pivots taken on the diagonal factorizes it.  At 0
-# the quasi-definite matrix moves beta_h by about 1e-9 relative; at 0.1
-# off-diagonal pivots blow its fill up about tenfold.
+# matrix is quasi-definite (SIGMA < 0), so a symmetric order with pivots
+# taken on the diagonal factorizes it.  In the nested-dissection order
+# every diagonal pivot passes; the threshold guards against a tiny pivot
+# of the quasi-definite matrix.  At 0.1 off-diagonal pivots blow its
+# fill up about fourfold.
 STAB_PIVOT = 1e-3
 
 
 def _splu(A, what: str):
-    """Sparse LU of the symmetric matrix A in the minimum-degree order on
-    A + A^T, pivoting on the diagonal unless it falls below STAB_PIVOT
-    times the column's largest entry.  A singular A raises
-    StabilityError."""
+    """Sparse LU of the symmetric matrix A, its unknowns already in
+    nested-dissection order, with no further ordering: pivots on the
+    diagonal unless it falls below STAB_PIVOT times the column's largest
+    entry.  A singular A raises StabilityError."""
     try:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        return spla.splu(A.tocsc(), permc_spec="NATURAL",
                          diag_pivot_thresh=STAB_PIVOT,
                          options=dict(SymmetricMode=True))
     except RuntimeError as exc:
@@ -118,15 +121,20 @@ def korn_normal_trace_min_eig(space: TaylorHoodSpace, facets=None):
     A positive value certifies the discrete Korn inequality with constant
     1/sqrt(eig); zero (a surviving rigid deformation) signals that the
     facet selection has collinear normals.  Returns (eig, eigenvector).
+    The pencil is solved in nested-dissection order; the eigenvector comes
+    back in DOF order.
     """
     if facets is None:
         facets = np.arange(space.mesh.num_facets)
     cache = get_cache(space)
-    A = cache.K_D + FacetTable(space, facets).mass(normal=True)
-    M = cache.K_G + cache.M_u
+    q = cache.nd_sort(np.arange(space.n_vdofs))
+    A = (cache.K_D + FacetTable(space, facets).mass(normal=True))[np.ix_(q, q)]
+    M = (cache.K_G + cache.M_u)[np.ix_(q, q)]
     lu = _splu(A - SIGMA * M, "Korn matrix A - SIGMA M")
     w, V = _eigsh(A, M, 1, sigma=SIGMA, which="LM", OPinv=_solver(lu))
-    return float(w[0]), V[:, 0]
+    v = np.empty(q.size)
+    v[q] = V[:, 0]
+    return float(w[0]), v
 
 
 def wall_facets(space: TaylorHoodSpace, walls) -> np.ndarray:
@@ -156,7 +164,7 @@ def trace_constant_xh(space: TaylorHoodSpace) -> float:
     cache = get_cache(space)
     if cache.M_B.nnz == 0:
         return 0.0
-    free = np.setdiff1d(np.arange(space.n_vdofs), space.dirichlet_vdofs)
+    free = cache.nd_sort(np.setdiff1d(np.arange(space.n_vdofs), space.dirichlet_vdofs))
     A_x = (cache.K_D + cache.P_pen)[np.ix_(free, free)]
     M_g = cache.M_B[np.ix_(free, free)]
     lu = _splu(A_x, "X_h-norm matrix A_x")
@@ -177,23 +185,30 @@ def infsup_constant(space: TaylorHoodSpace) -> float:
     (S - SIGMA M_p)^-1 r, which is the pressure part of the solution of
     the saddle-point system [[K, B^T], [B, SIGMA M_p]] (u, q) = (0, -r),
     applied through one `_splu`.  S is PSD, so the two eigenvalues
-    nearest SIGMA are the constant-pressure null mode and beta_h^2."""
+    nearest SIGMA are the constant-pressure null mode and beta_h^2.  The
+    saddle-point unknowns are in nested-dissection order; the pressure
+    ones keep their DOF order among themselves, so M_p is used as it is."""
     cache = get_cache(space)
+    nu, Mp = space.n_vdofs, cache.M_p
     # interior velocity DOFs: velocity nodes not on the boundary
     bnodes = space.facet_vnodes(np.arange(space.mesh.num_facets))
-    free = np.setdiff1d(np.arange(space.n_vdofs),
-                        np.concatenate([2 * bnodes, 2 * bnodes + 1]))
+    free = np.setdiff1d(np.arange(nu), np.concatenate([2 * bnodes, 2 * bnodes + 1]))
     if free.size == 0:
         raise StabilityError("no interior velocity DOFs (mesh too coarse)")
 
-    K = cache.K_G[np.ix_(free, free)]
-    B = cache.B_div[:, free]
-    Mp = cache.M_p.tocsc()
+    q = cache.nd_sort(np.concatenate([free, nu + np.arange(space.n_pdofs)]))
+    saddle = sp.bmat([[cache.K_G, cache.B_div.T], [cache.B_div, SIGMA * Mp]],
+                     format="csr")[np.ix_(q, q)]
+    lu = _splu(saddle, "saddle-point matrix")
+    # where each pressure DOF sits among the saddle-point unknowns
+    p = np.argsort(q)[free.size:]
 
-    lu = _splu(sp.bmat([[K, B.T], [B, SIGMA * Mp]]), "saddle-point matrix")
-    zero = np.zeros(free.size)
-    OPinv = spla.LinearOperator(Mp.shape, dtype=float, matvec=lambda r:
-                                lu.solve(np.concatenate([zero, -r]))[free.size:])
+    def solve(r):
+        x = np.zeros(q.size)
+        x[p] = -r
+        return lu.solve(x)[p]
+
+    OPinv = spla.LinearOperator(Mp.shape, dtype=float, matvec=solve)
     # shift-invert mode applies only OPinv and Mp; the first argument is shape
     w, _ = _eigsh(OPinv, Mp, 2, sigma=SIGMA, which="LM", OPinv=OPinv)
     # the constant pressure lies in the kernel of B^T; deflate it

@@ -10,9 +10,10 @@ elimination); the standard trilinear form that the skew form is checked
 against; the Korn, trace and inf-sup constants as dense full-spectrum
 eigensolves, and as the earlier `eigsh` calls that left the Korn and
 trace factorizations to ARPACK and factorized the inf-sup matrix in
-COLAMD order with partial pivoting; the probe values of a time march one
-probe at a time, each in the first cell found by a scan.  The package
-never calls them.
+COLAMD order with partial pivoting; the nested-dissection order of the
+(u, p) unknowns as one lexsort over all of them; the probe values of a
+time march one probe at a time, each in the first cell found by a scan.
+The package never calls them.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from slipflow.fespace import FacetTable, block_indices, p2_basis, scatter_blocks
-from slipflow.forms import get_cache
+from slipflow.forms import get_cache, nd_paths
 
 
 def _scatter(space, rows, cols, data, shape=None):
@@ -324,6 +325,17 @@ def infsup_constant_colamd(space):
                                 lu.solve(np.concatenate([zero, -r]))[free.size:])
     w, _ = _eigsh_seeded(OPinv, Mp, 2, sigma=sigma, which="LM", OPinv=OPinv)
     return float(np.sqrt(max(w[1], 0.0)))
+
+
+def nd_order(space):
+    """Nested-dissection order q of the (u, p) unknowns in one lexsort:
+    the Dirichlet velocity DOFs first, then by the rank of the node
+    (a pressure DOF's node is its vertex), velocity before pressure, then
+    by index."""
+    block = nd_paths(space)[0]
+    key = np.concatenate([np.repeat(block, 2), block[:space.n_pdofs]])
+    free = ~np.isin(np.arange(key.size), space.dirichlet_vdofs)
+    return np.lexsort((np.arange(key.size) >= space.n_vdofs, key, free))
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,11 @@ def test_stick_slip_experiment_small(tmp_path):
     counts = summary["results"]["gs0"]["newton"]
     assert set(counts) == {"iterations", "factorizations", "refreshes",
                            "chord_accepted", "chord_rejected", "refinements",
-                           "fallbacks", "factor_s", "refresh_s"}
+                           "fallbacks", "factor_s", "refresh_s", "residual_s",
+                           "jacobian_s", "linsolve_s"}
     assert counts["factor_s"] > 0
+    assert counts["residual_s"] > 0 and counts["jacobian_s"] > 0
+    assert counts["linsolve_s"] > 0
     assert (counts["refresh_s"] > 0) == (counts["refreshes"] > 0)
     assert counts["iterations"] == 2 * summary["results"]["gs0"]["newton_iters_mean"]
     assert counts["factorizations"] >= 1

@@ -7,7 +7,9 @@ A'[q][:, q] takes every pivot on its diagonal, and the solves match the
 reference LU on (u, p, m).  The fill of the ND factors is compared at
 a fixed state with that of the COLAMD-q factors: A'[q][:, q] for the
 column order q that SuperLU's COLAMD gives A'.  Fill is a count, so it
-does not drift with the speed of the machine.
+does not drift with the speed of the machine.  q equals the order of
+one lexsort over all unknowns, and the rank behind it is computed once
+per space.
 """
 
 import numpy as np
@@ -15,12 +17,16 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import loop_reference as ref
 from loop_reference import jacobian as multiplier_jacobian
 from test_cell_kernels import make_ctx, random_state
-from slipflow import solver
-from slipflow.fespace import TaylorHoodSpace
-from slipflow.forms import assemble_jacobian, nd_paths
+from slipflow import forms, solver
+from slipflow.fespace import SystemState, TaylorHoodSpace
+from slipflow.forms import (
+    AssemblyContext, NitscheConfig, assemble_jacobian, nd_order, nd_paths,
+)
 from slipflow.mesh import BoundaryTag, build_unit_square, tag_boundary, top_wall_tagger
+from slipflow.sliplaw import fang_regularized
 from slipflow.solver import NewtonReport
 
 
@@ -72,6 +78,31 @@ def test_nd_order_properties(n, diagonal, slip, seed):
     got = factor.solve(b, report)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     assert report.refinements == report.fallbacks == 0
+
+
+@pytest.mark.parametrize("n,diagonal", [(3, "right"), (8, "right"), (24, "right"),
+                                        (7, "crossed")])
+def test_nd_order_matches_one_lexsort(n, diagonal):
+    space = make_space(n, diagonal, "top")
+    assert np.array_equal(nd_order(space), ref.nd_order(space))
+
+
+def test_nd_rank_is_computed_once_per_space(monkeypatch):
+    # alpha = "auto" with a lambda-monotone law factorizes A_x in ND order;
+    # the first Jacobian's pattern orders A' by the same rank
+    calls = []
+
+    def counted(space):
+        calls.append(space)
+        return nd_paths(space)
+
+    monkeypatch.setattr(forms, "nd_paths", counted)
+    space = make_space(4, "right", "top")
+    ctx = AssemblyContext(space, NitscheConfig(alpha="auto"),
+                          fang_regularized(1.6, 1.5, 10, 2e-4), dirichlet=0.0)
+    assert calls == [space]
+    assemble_jacobian(SystemState.zero(space), ctx)
+    assert calls == [space]
 
 
 def test_straddling_cells_sees_a_cut_through_cell_centres():

@@ -381,6 +381,11 @@ def test_phase_times_are_positive_exactly_where_their_work_ran(space4):
     for r in traj.reports:
         assert (r.factor_s > 0) == (r.factorizations > 0)
         assert (r.refresh_s > 0) == (r.refreshes > 0)
+        # every call assembles a residual; a Jacobian only to factorize;
+        # a solve at every iteration and at every rejected reuse
+        assert r.residual_s > 0
+        assert (r.jacobian_s > 0) == (r.factorizations > 0)
+        assert (r.linsolve_s > 0) == (r.iterations + r.chord_rejected > 0)
     assert {r.factorizations > 0 for r in traj.reports} == {True, False}
     assert {r.refreshes > 0 for r in traj.reports} == {True, False}
 

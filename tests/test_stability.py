@@ -6,14 +6,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import loop_reference as ref
-from slipflow.fespace import TaylorHoodSpace
-from slipflow.forms import AssemblyContext, NitscheConfig, get_cache
+from slipflow.fespace import FacetTable, TaylorHoodSpace
+from slipflow.forms import AssemblyContext, NitscheConfig, get_cache, nd_paths
 from slipflow.mesh import (
     BoundaryTag, MeshError, _finish_mesh, build_unit_square, tag_boundary,
     top_wall_tagger,
 )
 from slipflow.sliplaw import fang_regularized, navier
 from slipflow.stability import (
+    SIGMA,
     STAB_PIVOT,
     StabilityError,
     constants_report,
@@ -49,9 +50,12 @@ def alignment(a, b):
     return abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
 
 
-@pytest.fixture(scope="module", params=[4, 8, 16])
+# the crossed mesh's ND cuts skip the grid lines through the cell centres
+@pytest.fixture(scope="module", params=[(4, "right"), (8, "right"), (16, "right"),
+                                        (7, "crossed")],
+                ids=["4", "8", "16", "crossed7"])
 def ref_space(request):
-    return make_space(request.param)
+    return make_space(*request.param)
 
 
 # -- inverse trace constant ----------------------------------------------------
@@ -236,14 +240,42 @@ def test_korn_singular_matrix_raises():
         korn_normal_trace_min_eig(space, [])
 
 
+def nd_positions(space, dofs):
+    """Positions that put the ascending (u, p) unknowns `dofs` in
+    nested-dissection order: by node rank, velocity before pressure,
+    then by index."""
+    nu, rank = space.n_vdofs, nd_paths(space)[0]
+    node = np.where(dofs < nu, dofs // 2, dofs - nu)
+    return np.argsort(2 * rank[node] + (dofs >= nu), kind="stable")
+
+
+def stability_matrices(space):
+    """The matrix each constant factorizes, on its unknowns in DOF order:
+    trace (free velocity), Korn (all velocity), inf-sup (interior
+    velocity and pressure), in the order constants_report calls them."""
+    cache, nu = get_cache(space), space.n_vdofs
+    free = np.setdiff1d(np.arange(nu), space.dirichlet_vdofs)
+    bnodes = space.facet_vnodes(np.arange(space.mesh.num_facets))
+    inner = np.setdiff1d(np.arange(nu), np.concatenate([2 * bnodes, 2 * bnodes + 1]))
+    B = cache.B_div[:, inner]
+    return [
+        (free, (cache.K_D + cache.P_pen)[np.ix_(free, free)]),
+        (np.arange(nu), cache.K_D + FacetTable(space, np.arange(space.mesh.num_facets))
+         .mass(normal=True) - SIGMA * (cache.K_G + cache.M_u)),
+        (np.concatenate([inner, nu + np.arange(space.n_pdofs)]),
+         sp.bmat([[cache.K_G[np.ix_(inner, inner)], B.T], [B, SIGMA * cache.M_p]])),
+    ]
+
+
 def test_constants_report_factorizes_once_per_constant(monkeypatch):
-    # every LU goes through spla.splu in the symmetric order; ARPACK's own
-    # LU (used when eigsh is given a matrix to invert) is never reached
+    # every LU goes through spla.splu, of its constant's matrix in the
+    # nested-dissection order and with no ordering step; ARPACK's own LU
+    # (used when eigsh is given a matrix to invert) is never reached
     calls = []
     splu = spla.splu
 
     def record(A, **kwargs):
-        calls.append((A.shape[0], kwargs))
+        calls.append((A, kwargs))
         return splu(A, **kwargs)
 
     def forbidden(*args, **kwargs):
@@ -254,14 +286,14 @@ def test_constants_report_factorizes_once_per_constant(monkeypatch):
     monkeypatch.setattr(arpack, "splu", forbidden)
     space = make_space(8)
     constants_report(space)
-    bnodes = space.facet_vnodes(np.arange(space.mesh.num_facets))
-    # trace (free velocity), Korn (all velocity), inf-sup (interior
-    # velocity and pressure), in the order constants_report calls them
-    sizes = [space.n_vdofs - space.dirichlet_vdofs.size, space.n_vdofs,
-             2 * (space.n_vnodes - bnodes.size) + space.n_pdofs]
-    assert [n for n, _ in calls] == sizes
-    assert all(kw == dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=STAB_PIVOT,
-                          options=dict(SymmetricMode=True)) for _, kw in calls)
+    expected = stability_matrices(space)
+    assert len(calls) == len(expected)
+    for (A, kw), (dofs, matrix) in zip(calls, expected):
+        pos = nd_positions(space, dofs)
+        assert A.shape == (dofs.size, dofs.size)
+        assert abs(A - matrix.tocsr()[pos][:, pos]).max() == 0.0
+        assert kw == dict(permc_spec="NATURAL", diag_pivot_thresh=STAB_PIVOT,
+                          options=dict(SymmetricMode=True))
 
 
 def test_constants_match_arpack_lu_and_colamd_path():
