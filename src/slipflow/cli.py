@@ -28,6 +28,7 @@ import json
 import logging
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -213,8 +214,8 @@ _LAWS = {
 
 def _check_settings(cfg: ExperimentConfig) -> None:
     """Build the Newton, Nitsche and slip-law settings of the experiment
-    once, and check its time grid, snapshot times or load schedule, so
-    that a bad value raises before any output."""
+    once, and check its time grid, snapshot times, load schedule or mesh
+    sizes, so that a bad value raises before any output."""
     _newton(cfg)
     _nitsche(cfg)
     if cfg.experiment in _LAWS:
@@ -230,15 +231,20 @@ def _check_settings(cfg: ExperimentConfig) -> None:
             if cfg.lambda_schedule[-1] != lam:
                 raise ConfigError(
                     f"lambda_schedule must end at the target amplitude {lam}")
+    elif cfg.experiment == "convergence":
+        verify.check_levels(cfg.convergence_ns)
+    elif cfg.experiment == "constants":
+        if not cfg.constants_ns or min(cfg.constants_ns) < 1:
+            raise ConfigError(f"constants_ns must be a non-empty list of mesh "
+                              f"sizes >= 1, got {cfg.constants_ns}")
 
 
 def _march_counts(traj: solver.Trajectory) -> dict:
     """What the march's Newton solves did, summed over its steps: counts,
     and the wall times of its phases."""
     return {k: sum(getattr(r, k) for r in traj.reports)
-            for k in ("iterations", "factorizations", "refreshes", "chord_accepted",
-                      "chord_rejected", "refinements", "fallbacks", "factor_s",
-                      "refresh_s", "residual_s", "jacobian_s", "linsolve_s")}
+            for k, kind in typing.get_type_hints(solver.NewtonReport).items()
+            if kind in (int, float)}
 
 
 def _csv(path: Path, header: str, rows, echo: str) -> None:

@@ -29,6 +29,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .fespace import (FacetTable, TaylorHoodSpace, SystemState, block_indices,
                       scatter_blocks, vector_blocks)
@@ -164,12 +165,23 @@ class FormCache:
         return nd_paths(self.space)[0]
 
     def nd_sort(self, dofs: np.ndarray) -> np.ndarray:
-        """The ascending (u, p) unknowns `dofs` in nested-dissection order:
-        by the rank of their node, a pressure DOF's node being its vertex,
-        velocity before pressure at equal rank, then by index."""
+        """The positions that put the ascending (u, p) unknowns `dofs` in
+        nested-dissection order: by the rank of their node, a pressure
+        DOF's node being its vertex, velocity before pressure at equal
+        rank, then by index."""
         nu = self.space.n_vdofs
         node = np.where(dofs < nu, dofs // 2, dofs - nu)
-        return dofs[np.lexsort((dofs >= nu, self.nd_rank[node]))]
+        return np.lexsort((dofs >= nu, self.nd_rank[node]))
+
+    def splu(self, A, dofs: np.ndarray, **options) -> "OrderedLU":
+        """Sparse LU of A, whose rows and columns are the ascending (u, p)
+        unknowns `dofs`: SuperLU factorizes A[q][:, q], q = `nd_sort(dofs)`,
+        with `options`, in that natural order unless they name another
+        `permc_spec`.  Every sparse LU on the space is made here."""
+        q = self.nd_sort(dofs)
+        # looked up at call time: a caller may have replaced spla.splu
+        lu = spla.splu(A[q][:, q].tocsc(), **{"permc_spec": "NATURAL", **options})
+        return OrderedLU(lu, q)
 
     @functools.cached_property
     def pattern(self) -> "JacobianPattern":
@@ -198,20 +210,22 @@ class FormCache:
         return (self.G_c.T @ ones)[dd], (abs(self.G_c).T @ ones)[dd]
 
 
+class OrderedLU:
+    """SuperLU factors `lu` of A[q][:, q]; `solve` takes and returns
+    vectors and column blocks in A's own order."""
+
+    def __init__(self, lu, q: np.ndarray):
+        self.lu, self.q = lu, q
+        self.shape, self.nnz = lu.shape, lu.nnz
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.empty(b.shape)
+        x[self.q] = self.lu.solve(b[self.q])
+        return x
+
+
 # nested dissection stops at boxes of at most this many velocity nodes
 ND_LEAF = 8
-
-
-def nd_order(space: TaylorHoodSpace) -> np.ndarray:
-    """Nested-dissection order q of the (u, p) unknowns (A. George, SIAM
-    J. Numer. Anal. 10(2), 1973): each box of `nd_paths` is ordered left,
-    right, then separator, each block with its velocity DOFs before the
-    pressure DOFs of its vertices (`FormCache.nd_sort`), after the
-    Dirichlet velocity DOFs in the same order."""
-    cache, fixed = get_cache(space), space.dirichlet_vdofs
-    rest = np.ones(space.n_vdofs + space.n_pdofs, dtype=bool)
-    rest[fixed] = False
-    return np.concatenate([cache.nd_sort(fixed), cache.nd_sort(np.flatnonzero(rest))])
 
 
 def nd_paths(space: TaylorHoodSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -256,18 +270,13 @@ class JacobianPattern:
     The velocity block is the cell connectivity, which holds every entry
     of the linear, slip-facet and convection blocks; the velocity-pressure
     blocks are the cell couplings, and one structural (explicitly zero)
-    diagonal slot (k, k) sits at the last pressure DOF k.  Rows and
-    columns of the Dirichlet velocity DOFs are eliminated and never
-    stored; each gets a unit diagonal.  A Jacobian A on (u, p) is a
-    `data` array over this pattern; `cell_pos` (T*144) and `slip_pos`
-    (F*144) locate the entries of the (T,12,12) cell and (F,12,12)
-    slip-facet blocks in it, with `nnz` for an eliminated entry.
-
-    `bordered(data)` gives A'[q][:, q] for A' = A + e_k e_k^T and the
-    symmetric order `order` (q) over the pattern `a_indptr`/`a_indices`:
-    its data is A's data at `a_pos`, plus 1 at `a_kk`.  q is the
-    nested-dissection order `nd_order(space)`, set at construction; it
-    depends only on the mesh, so it holds for every A' on the space.
+    diagonal slot (k, k), the last stored entry, sits at the last
+    pressure DOF k.  Rows and columns of the Dirichlet velocity DOFs are
+    eliminated and never stored; each gets a unit diagonal.  A Jacobian
+    A on (u, p) is a `data` array over this pattern; `cell_pos` (T*144)
+    and `slip_pos` (F*144) locate the entries of the (T,12,12) cell and
+    (F,12,12) slip-facet blocks in it, with `nnz` for an eliminated
+    entry.
     """
 
     def __init__(self, cache: FormCache):
@@ -298,17 +307,6 @@ class JacobianPattern:
         self.cell_pos = self.positions(cell_rows, cell_cols)
         self.slip_pos = self.positions(*block_indices(cache.slip.dofs,
                                                       cache.slip.dofs))
-        # A'[q][:, q] in CSC order
-        self.order = nd_order(space)
-        inv = np.argsort(self.order)
-        a_keys = inv[keys // n] * n + inv[keys % n]
-        self.a_pos = np.argsort(a_keys)
-        a_keys = a_keys[self.a_pos]
-        self.a_indices = (a_keys % n).astype(np.int32)
-        self.a_indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(a_keys // n, minlength=n))]
-        ).astype(np.int32)
-        self.a_kk = int(np.searchsorted(a_keys, inv[self.k] * (n + 1)))
 
     def positions(self, rows, cols) -> np.ndarray:
         """Positions in `data` of the entries (rows, cols), `nnz` where a
@@ -328,13 +326,6 @@ class JacobianPattern:
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=(self.n, self.n))
-
-    def bordered(self, data: np.ndarray) -> sp.csc_matrix:
-        """A'[q][:, q] for A' = A + e_k e_k^T of the Jacobian with `data`."""
-        a = data[self.a_pos]
-        a[self.a_kk] += 1.0
-        return sp.csc_matrix((a, self.a_indices, self.a_indptr),
                              shape=(self.n, self.n))
 
 

@@ -12,7 +12,6 @@ import time
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .fespace import SystemState
 from .forms import (
@@ -35,11 +34,6 @@ LS_MAX = 8
 # contracts the residual at least this much; otherwise refactorize (or
 # backtrack, if refreshed and Newton-accurate: newton_solve)
 CHORD_ACCEPT = 0.25
-# a time step after the first starts Newton from the extrapolation of
-# the last states: 2 u_{j-1} - u_{j-2} at step 2, 3 u_{j-1} - 3 u_{j-2}
-# + u_{j-3} from step 3 on (not after a step that took no Newton
-# iteration)
-EXTRAPOLATE = True
 # a solve whose residual against the Jacobian exceeds this, relative to
 # the right-hand side, gets one step of iterative refinement; if it
 # still does, A' is factorized again with partial pivoting
@@ -134,9 +128,8 @@ class _Factor:
     x_k = 0 and A x = b; last, x_p is shifted to zero e_p-mean.
 
     A' is factorized with diagonal pivoting (BORDERED_PIVOT) in the
-    pattern's nested-dissection order q (`JacobianPattern.order`), the
-    same for every A' on a space: A'[q][:, q] is factorized in its
-    natural order, and A' x = b is solved as x[q] = LU^-1 b[q].
+    space's nested-dissection order (`FormCache.splu`), the same for
+    every A' on a space.
 
     Every solve is checked against A.  If A' cannot be factorized, or a
     solve misses BORDERED_RTOL after one refinement step, A' is
@@ -161,9 +154,9 @@ class _Factor:
 
     def __init__(self, J, ctx: AssemblyContext, report: NewtonReport,
                  u: Optional[np.ndarray] = None):
-        self.J, self.pattern = J, ctx.cache.pattern
+        self.J, self.cache = J, ctx.cache
         self.p = slice(ctx.space.n_vdofs, None)
-        self.e_p = ctx.cache.e_p
+        self.e_p = self.cache.e_p
         self.e_sum = float(self.e_p.sum())
         self.checked = True
         # u_f and Sigma_f, and once D != 0: S, W, C; the refresh in use
@@ -176,9 +169,13 @@ class _Factor:
             self._fall_back(report)
 
     def _factor(self, report: NewtonReport, **options):
-        """Factorize A'[q][:, q] for the pattern's order q."""
+        """Factorize A'; its (k, k) entry is J's last stored one, 0 in A."""
         t0 = time.perf_counter()
-        self.lu = spla.splu(self.pattern.bordered(self.J.data), **options)
+        self.J.data[-1] = 1.0
+        try:
+            self.lu = self.cache.splu(self.J, np.arange(self.J.shape[0]), **options)
+        finally:
+            self.J.data[-1] = 0.0
         report.factor_s += time.perf_counter() - t0
         report.factorizations += 1
         report.lu_fill += self.lu.nnz
@@ -202,18 +199,17 @@ class _Factor:
             self.D = None
             return False
         if self.W is None:
-            # W and C in the order q: rows q^-1[S] of W hold C.  W is
-            # solved for 8 columns at a time, so no N x r identity is held
+            # W is solved for 8 columns at a time, so no N x r identity
+            # is held
             t0 = time.perf_counter()
-            self.S = ctx.cache.slip_support[0]
-            self.Sq = np.argsort(self.pattern.order)[self.S]
-            self.W = np.empty((self.pattern.n, self.S.size), order="F")
+            self.S, n = self.cache.slip_support[0], self.J.shape[0]
+            self.W = np.empty((n, self.S.size), order="F")
             for k in range(0, self.S.size, 8):
-                rows = self.Sq[k:k + 8]
-                U = np.zeros((self.pattern.n, rows.size))
+                rows = self.S[k:k + 8]
+                U = np.zeros((n, rows.size))
                 U[rows, np.arange(rows.size)] = 1.0
                 self.W[:, k:k + 8] = self.lu.solve(U)
-            self.C = self.W[self.Sq]
+            self.C = self.W[self.S]
             report.refresh_s += time.perf_counter() - t0
             report.refreshes += 1
         self.D = D
@@ -235,14 +231,12 @@ class _Factor:
     def _solve(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The projection of b onto the range of A, and the zero-mean x
         that A maps to it."""
-        p, q = self.p, self.pattern.order
+        p = self.p
         b = b.copy()
         b[p] -= b[p].sum() / self.e_sum * self.e_p
-        y = self.lu.solve(b[q])
+        x = self.lu.solve(b)
         if self.D is not None:
-            y -= self.W @ (self.G @ y[self.Sq])
-        x = np.empty_like(b)
-        x[q] = y
+            x -= self.W @ (self.G @ x[self.S])
         x[p] -= (self.e_p @ x[p]) / self.e_sum
         return b, x
 
@@ -526,7 +520,7 @@ def time_march(
     T must be an integer multiple of delta (rejected otherwise rather than
     silently truncated).  Step j solves with the data of u_{j-1} and
     starts Newton from the quadratic extrapolation 3 u_{j-1} - 3 u_{j-2}
-    + u_{j-3} of the last three states, u and p (EXTRAPOLATE); step 2
+    + u_{j-3} of the last three states, u and p (`_extrapolate`); step 2
     starts from the linear 2 u_{j-1} - u_{j-2}, and the first step, and
     a step after one that took no Newton iteration, from u_{j-1}.
     Failures abort with the step index.  A probe outside the mesh raises
@@ -559,7 +553,7 @@ def time_march(
         # tolerance, and the extrapolation only moves the start away
         ctx.advance(t, state.u.copy())
         guess = state
-        if EXTRAPOLATE and prev and reports[-1].iterations:
+        if prev and reports[-1].iterations:
             guess = _extrapolate(state, *prev)
         try:
             new, report = newton_solve(

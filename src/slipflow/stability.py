@@ -7,9 +7,9 @@ The inverse trace constant is a batch of 6 x 6 eigenproblems.  The other
 three take one extreme eigenvalue of a sparse pencil, at every mesh size,
 from ARPACK's Lanczos (`eigsh`) at one fixed start vector: shift-invert at
 SIGMA for Korn and inf-sup, regular mode for the trace constant.  The one
-sparse LU each of them needs is made by `_splu`, never by ARPACK, of its
-matrix taken out in the space's nested-dissection order
-(`FormCache.nd_sort`), the order of every Newton LU.
+sparse LU each of them needs is made by `_splu`, never by ARPACK, in the
+space's nested-dissection order (`FormCache.splu`), as every Newton LU
+is.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import FacetTable, TaylorHoodSpace
-from .forms import NitscheConfig, get_cache
+from .forms import FormCache, NitscheConfig, get_cache
 from .mesh import GEOM_TOL, MeshError
 from .sliplaw import SlipLaw, navier
 
@@ -80,15 +80,14 @@ SIGMA = -1e-8
 STAB_PIVOT = 1e-3
 
 
-def _splu(A, what: str):
-    """Sparse LU of the symmetric matrix A, its unknowns already in
-    nested-dissection order, with no further ordering: pivots on the
+def _splu(cache: FormCache, A, dofs: np.ndarray, what: str):
+    """Sparse LU of the symmetric matrix A on the ascending unknowns
+    `dofs`, in nested-dissection order (`FormCache.splu`): pivots on the
     diagonal unless it falls below STAB_PIVOT times the column's largest
     entry.  A singular A raises StabilityError."""
     try:
-        return spla.splu(A.tocsc(), permc_spec="NATURAL",
-                         diag_pivot_thresh=STAB_PIVOT,
-                         options=dict(SymmetricMode=True))
+        return cache.splu(A, dofs, diag_pivot_thresh=STAB_PIVOT,
+                          options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise StabilityError(f"{what} is singular: {exc}") from exc
 
@@ -121,20 +120,16 @@ def korn_normal_trace_min_eig(space: TaylorHoodSpace, facets=None):
     A positive value certifies the discrete Korn inequality with constant
     1/sqrt(eig); zero (a surviving rigid deformation) signals that the
     facet selection has collinear normals.  Returns (eig, eigenvector).
-    The pencil is solved in nested-dissection order; the eigenvector comes
-    back in DOF order.
     """
     if facets is None:
         facets = np.arange(space.mesh.num_facets)
     cache = get_cache(space)
-    q = cache.nd_sort(np.arange(space.n_vdofs))
-    A = (cache.K_D + FacetTable(space, facets).mass(normal=True))[np.ix_(q, q)]
-    M = (cache.K_G + cache.M_u)[np.ix_(q, q)]
-    lu = _splu(A - SIGMA * M, "Korn matrix A - SIGMA M")
+    A = cache.K_D + FacetTable(space, facets).mass(normal=True)
+    M = cache.K_G + cache.M_u
+    lu = _splu(cache, A - SIGMA * M, np.arange(space.n_vdofs),
+               "Korn matrix A - SIGMA M")
     w, V = _eigsh(A, M, 1, sigma=SIGMA, which="LM", OPinv=_solver(lu))
-    v = np.empty(q.size)
-    v[q] = V[:, 0]
-    return float(w[0]), v
+    return float(w[0]), V[:, 0]
 
 
 def wall_facets(space: TaylorHoodSpace, walls) -> np.ndarray:
@@ -164,10 +159,10 @@ def trace_constant_xh(space: TaylorHoodSpace) -> float:
     cache = get_cache(space)
     if cache.M_B.nnz == 0:
         return 0.0
-    free = cache.nd_sort(np.setdiff1d(np.arange(space.n_vdofs), space.dirichlet_vdofs))
+    free = np.setdiff1d(np.arange(space.n_vdofs), space.dirichlet_vdofs)
     A_x = (cache.K_D + cache.P_pen)[np.ix_(free, free)]
     M_g = cache.M_B[np.ix_(free, free)]
-    lu = _splu(A_x, "X_h-norm matrix A_x")
+    lu = _splu(cache, A_x, free, "X_h-norm matrix A_x")
     w, _ = _eigsh(M_g, A_x, 1, which="LA", Minv=_solver(lu))
     return float(np.sqrt(max(w[-1], 0.0)))
 
@@ -185,9 +180,7 @@ def infsup_constant(space: TaylorHoodSpace) -> float:
     (S - SIGMA M_p)^-1 r, which is the pressure part of the solution of
     the saddle-point system [[K, B^T], [B, SIGMA M_p]] (u, q) = (0, -r),
     applied through one `_splu`.  S is PSD, so the two eigenvalues
-    nearest SIGMA are the constant-pressure null mode and beta_h^2.  The
-    saddle-point unknowns are in nested-dissection order; the pressure
-    ones keep their DOF order among themselves, so M_p is used as it is."""
+    nearest SIGMA are the constant-pressure null mode and beta_h^2."""
     cache = get_cache(space)
     nu, Mp = space.n_vdofs, cache.M_p
     # interior velocity DOFs: velocity nodes not on the boundary
@@ -196,17 +189,15 @@ def infsup_constant(space: TaylorHoodSpace) -> float:
     if free.size == 0:
         raise StabilityError("no interior velocity DOFs (mesh too coarse)")
 
-    q = cache.nd_sort(np.concatenate([free, nu + np.arange(space.n_pdofs)]))
-    saddle = sp.bmat([[cache.K_G, cache.B_div.T], [cache.B_div, SIGMA * Mp]],
-                     format="csr")[np.ix_(q, q)]
-    lu = _splu(saddle, "saddle-point matrix")
-    # where each pressure DOF sits among the saddle-point unknowns
-    p = np.argsort(q)[free.size:]
+    B = cache.B_div[:, free]
+    saddle = sp.bmat([[cache.K_G[np.ix_(free, free)], B.T], [B, SIGMA * Mp]],
+                     format="csr")
+    lu = _splu(cache, saddle, np.concatenate([free, nu + np.arange(space.n_pdofs)]),
+               "saddle-point matrix")
+    zero = np.zeros(free.size)
 
     def solve(r):
-        x = np.zeros(q.size)
-        x[p] = -r
-        return lu.solve(x)[p]
+        return lu.solve(np.concatenate([zero, -r]))[free.size:]
 
     OPinv = spla.LinearOperator(Mp.shape, dtype=float, matvec=solve)
     # shift-invert mode applies only OPinv and Mp; the first argument is shape

@@ -253,16 +253,24 @@ class StudyResult:
     rates: dict
 
 
+def check_levels(ns) -> None:
+    """ConfigError unless the mesh sizes `ns` are at least 3 nested
+    levels: the first >= 1, each twice the one before."""
+    if len(ns) < 3:
+        raise ConfigError("a convergence study needs at least 3 mesh levels")
+    if ns[0] < 1:
+        raise ConfigError(f"mesh sizes must be >= 1, got {ns[0]}")
+    for a, b in zip(ns, ns[1:]):
+        if b != 2 * a:
+            raise ConfigError(f"levels must be nested by factor 2, got {a} -> {b}")
+
+
 def convergence_study(ns, solve_on) -> StudyResult:
     """Run `solve_on(n) -> (space, state, sol)` on nested levels and
     tabulate the errors against the exact pair sol at t = 0 with observed
     log2 rates."""
     ns = list(ns)
-    if len(ns) < 3:
-        raise ConfigError("a convergence study needs at least 3 mesh levels")
-    for a, b in zip(ns, ns[1:]):
-        if b != 2 * a:
-            raise ConfigError(f"levels must be nested by factor 2, got {a} -> {b}")
+    check_levels(ns)
     rows = []
     for n in ns:
         space, state, sol = solve_on(n)

@@ -329,13 +329,11 @@ def infsup_constant_colamd(space):
 
 def nd_order(space):
     """Nested-dissection order q of the (u, p) unknowns in one lexsort:
-    the Dirichlet velocity DOFs first, then by the rank of the node
-    (a pressure DOF's node is its vertex), velocity before pressure, then
-    by index."""
+    by the rank of the node (a pressure DOF's node is its vertex),
+    velocity before pressure, then by index."""
     block = nd_paths(space)[0]
     key = np.concatenate([np.repeat(block, 2), block[:space.n_pdofs]])
-    free = ~np.isin(np.arange(key.size), space.dirichlet_vdofs)
-    return np.lexsort((np.arange(key.size) >= space.n_vdofs, key, free))
+    return np.lexsort((np.arange(key.size) >= space.n_vdofs, key))
 
 
 # ---------------------------------------------------------------------------

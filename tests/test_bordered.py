@@ -5,10 +5,10 @@ the solver's counts and its non-finite guards.
 The singular Jacobian A on (u, p) is solved with one LU of
 A' = A + e_k e_k^T; that rests on the constant pressure being a null
 vector of A, which is checked first.  A' is factorized with diagonal
-pivoting in the pattern's nested-dissection order q, fixed when the
-pattern is built (its own tests are in `test_nd_order.py`).  The solves
-are checked against the reference Jacobian on (u, p, m), which borders
-A with the mean-pressure multiplier row and column and is regular.
+pivoting in the space's nested-dissection order q (`FormCache.splu`;
+its own tests are in `test_nd_order.py`).  The solves are checked
+against the reference Jacobian on (u, p, m), which borders A with the
+mean-pressure multiplier row and column and is regular.
 """
 
 import numpy as np
@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 
 from loop_reference import jacobian as multiplier_jacobian
 from test_cell_kernels import make_ctx, random_state
-from slipflow import forms, solver
+from slipflow import solver
 from slipflow.fespace import SystemState, TaylorHoodSpace
-from slipflow.forms import AssemblyContext, NitscheConfig, assemble_jacobian, nd_order
+from slipflow.forms import AssemblyContext, NitscheConfig, assemble_jacobian
 from slipflow.mesh import BoundaryTag, build_unit_square, tag_boundary, top_wall_tagger
 from slipflow.sliplaw import navier, power_law, stick_slip_regularized
-from slipflow.solver import (NewtonConfig, NewtonError, NewtonReport, SolverError,
-                             newton_solve, steady_solve, time_march)
+from slipflow.solver import (FactorCache, NewtonConfig, NewtonError, NewtonReport,
+                             SolverError, newton_solve, steady_solve, time_march)
 from slipflow.verify import dirichlet_data, forcing, taylor_green
 
 CASES = [(steady, conv, g) for steady in (True, False) for conv in (True, False)
@@ -95,37 +95,50 @@ def bordered_dense(J, pat):
     return want
 
 
-def test_bordered_block_gathers_jacobian(space, rng):
+def test_newton_lu_gets_bordered_jacobian_in_nd_order(space, rng, monkeypatch):
+    # splu gets (J + e_k e_k^T)[q][:, q], explicit zeros kept, for q the
+    # nested-dissection order of all unknowns; J itself is left as it was
     ctx = case_ctx(space, rng, True, True, "zero")
     pat = ctx.cache.pattern
     J = assemble_jacobian(random_state(ctx, rng), ctx)
-    q = pat.order
-    A = pat.bordered(J.data)
+    data = J.data.copy()
+    given, real = [], spla.splu
+
+    def splu(A, **options):
+        given.append(A)
+        return real(A, **options)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    factor = solver._Factor(J, ctx, NewtonReport(0, [], [], False))
+    q = ctx.cache.nd_sort(np.arange(pat.n))
+    [A] = given
+    assert A.nnz == J.nnz
     assert np.array_equal(A.toarray(), bordered_dense(J, pat)[q][:, q])
-    assert A.has_canonical_format
+    assert np.array_equal(factor.lu.q, q)
+    assert np.array_equal(J.data, data) and J.data[-1] == 0.0
 
 
-def test_order_is_taken_once_per_pattern(monkeypatch):
-    # a space of its own: no Jacobian has been built on it yet
+def test_every_newton_lu_is_natural_with_diagonal_pivoting(monkeypatch):
+    # steady and march contexts on one space share its pattern, and each
+    # of their factorizations takes the space's order as it is
     space = TaylorHoodSpace(tag_boundary(build_unit_square(4), top_wall_tagger()))
     steady = stokes_ctx(space)
     march = AssemblyContext(space, NitscheConfig(alpha=10.0), navier(1.0),
                             forcing=forcing(taylor_green(1.0), 1.0),
                             dirichlet=0.0, delta=0.01, u_old=np.zeros(space.n_vdofs))
     made = counting_splu(monkeypatch)
-    pat = steady.cache.pattern
-    q = pat.order
-    assert march.cache.pattern is pat and not made
-    assert np.array_equal(q, nd_order(space))
+    assert march.cache.pattern is steady.cache.pattern and not made
+    factors = FactorCache()
     newton_solve(steady)
-    newton_solve(march)
+    newton_solve(march, factors=factors)
     march.set_timestep(0.02)
     newton_solve(march, guess=SystemState.zero(space))
-    assert pat.order is q
     assert len(made) >= 3
     assert all(options == {"permc_spec": "NATURAL",
                            "diag_pivot_thresh": solver.BORDERED_PIVOT}
                for _, options in made)
+    assert np.array_equal(factors.factor.lu.q,
+                          steady.cache.nd_sort(np.arange(steady.n_sys)))
 
 
 def tiny_pivot_ctx(rel):
@@ -148,7 +161,7 @@ def tiny_pivot_ctx(rel):
     slip = np.flatnonzero(d1[:space.n_vdofs])
     i = slip[slip.size // 2]
     ctx = ctx_for(-d0[i] / d1[i] * (1.0 - rel))
-    q = ctx.cache.pattern.order
+    q = ctx.cache.nd_sort(np.arange(ctx.n_sys))
     return ctx, i, np.concatenate([[i], q[q != i]])
 
 
@@ -161,11 +174,11 @@ def test_tiny_pivot_is_refined_or_falls_back(rel, refinements, fallbacks,
     assert 0 < abs(J[i, i]) < 10 * rel * abs(J[:, [i]]).max()
     want, ref = newton_solve(ctx)
     assert ref.refinements == ref.fallbacks == 0
-    # a pattern built in the order q
-    monkeypatch.setattr(forms, "nd_order", lambda space: q)
-    ctx.cache.pattern = forms.JacobianPattern(ctx.cache)
-    assert ctx.cache.pattern.order is q
-    got, report = newton_solve(ctx)
+    # every LU on the space in the order q
+    monkeypatch.setattr(ctx.cache, "nd_sort", lambda dofs: q)
+    factors = FactorCache()
+    got, report = newton_solve(ctx, factors=factors)
+    assert factors.factor.lu.q is q
     assert report.converged and report.iterations == ref.iterations == 1
     assert (report.refinements, report.fallbacks) == (refinements, fallbacks)
     assert report.factorizations == 1 + fallbacks
@@ -205,7 +218,7 @@ def counting_splu(monkeypatch, fail_bordered=0):
         made.append((real(M, **kwargs), kwargs))
         return made[-1][0]
 
-    monkeypatch.setattr(solver.spla, "splu", splu)
+    monkeypatch.setattr(spla, "splu", splu)
     return made
 
 

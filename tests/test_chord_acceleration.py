@@ -132,7 +132,7 @@ def test_predictor_never_leaks_into_the_step_data(space4, monkeypatch):
 def test_drift_and_counts_against_the_plain_chord_loop(space4, monkeypatch):
     probes = [(0.5, 1.0), (0.25, 1.0)]
     _, fast, calls = capture_march(space4, monkeypatch, probes)
-    monkeypatch.setattr(solver, "EXTRAPOLATE", False)
+    monkeypatch.setattr(solver, "_extrapolate", lambda u1, *older: u1)
     monkeypatch.setattr(solver._Factor, "refresh", lambda *args: False)
     _, plain, plain_calls = capture_march(space4, monkeypatch, probes)
     for got, want in ((fast.final_state.u, plain.final_state.u),

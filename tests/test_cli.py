@@ -175,8 +175,9 @@ def test_stick_slip_experiment_small(tmp_path):
     counts = summary["results"]["gs0"]["newton"]
     assert set(counts) == {"iterations", "factorizations", "refreshes",
                            "chord_accepted", "chord_rejected", "refinements",
-                           "fallbacks", "factor_s", "refresh_s", "residual_s",
-                           "jacobian_s", "linsolve_s"}
+                           "fallbacks", "lu_fill", "factor_s", "refresh_s",
+                           "residual_s", "jacobian_s", "linsolve_s"}
+    assert counts["lu_fill"] > 0
     assert counts["factor_s"] > 0
     assert counts["residual_s"] > 0 and counts["jacobian_s"] > 0
     assert counts["linsolve_s"] > 0
@@ -385,6 +386,20 @@ def test_out_of_range_setting_exits_3_before_any_output(tmp_path, capsys,
         "snapshots": [0.02], "gamma_stars": [0.0],
         "outdir": str(tmp_path / "out")})
     assert main(["solve", str(cfgp), "-o", override]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,override,message", [
+    ("constants", "constants_ns=[]", "constants_ns must be a non-empty list"),
+    ("constants", "constants_ns=[0]", "constants_ns must be a non-empty list"),
+    ("convergence", "convergence_ns=[4,8]", "needs at least 3 mesh levels"),
+    ("convergence", "convergence_ns=[4,8,12]", "nested by factor 2, got 8 -> 12"),
+])
+def test_bad_mesh_sizes_exit_3_before_any_output(tmp_path, capsys, command,
+                                                 override, message):
+    cfgp = write_config(tmp_path, {"n": 2, "outdir": str(tmp_path / "out")})
+    assert main([command, str(cfgp), "-o", override]) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
